@@ -22,11 +22,12 @@ from .model import (
     DirectionBasis,
     ExponentialModel,
     canonicalize,
-    evaluate,
+    evaluate,  # unused; bench/tracer.py wraps ``cli.evaluate`` by name
     identity_basis,
     validate_nyquist,
 )
-from .multivar import RecoveryConfig, recover_known_n, recover_unknown_n
+from .multivar import (RecoveryConfig, recover_known_n, recover_unknown_n,
+                       sample_residuals)
 from .oracle import (
     SyntheticOracle,
     TabulatedOracle,
@@ -174,23 +175,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _residual_rows(oracle, model) -> list:
-    rows = []
-    values = [abs(v) for _, v in oracle.ledger.entries]
-    floor = 1e-12 * (max(values) if values else 1.0)
-    for point, value in oracle.ledger.entries:
-        predicted = evaluate(model, np.asarray(point))
-        rows.append(
-            {
-                "point": list(point),
-                "value": [value.real, value.imag],
-                "model_value": [predicted.real, predicted.imag],
-                "rel_err": abs(predicted - value) / max(abs(value), floor),
-            }
-        )
-    return rows
-
-
 def cmd_recover(args) -> int:
     config = _read_config(args)
     model_path = args.model or config.io.get("model")
@@ -200,7 +184,6 @@ def cmd_recover(args) -> int:
         raise InputError("recover needs exactly one of --model or --samples")
     if out_path is None:
         raise InputError("recover needs --out (or io.out in the config)")
-    args.out = out_path
     if model_path:
         truth = ExponentialModel.load(model_path)
         oracle = SyntheticOracle(truth)
@@ -219,14 +202,21 @@ def cmd_recover(args) -> int:
     else:
         report = recover_unknown_n(oracle, config.basis, config.recovery)
 
-    out = Path(args.out)
+    out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
     report.model.save(out / "recovered_model.json")
     doc = report.to_dict()
-    doc["residuals"] = _residual_rows(oracle, report.model)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    entries = oracle.ledger.entries
+    predicted, rel_err = sample_residuals(report.model, entries)
+    doc["residuals"] = [
+        {"point": list(point), "value": [value.real, value.imag],
+         "model_value": [p.real, p.imag], "rel_err": r}
+        for (point, value), p, r in zip(entries, predicted.tolist(), rel_err.tolist())
+    ]
+    # no indent: json's fast C encoder only runs without one
+    (out / "report.json").write_text(
+        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
+    )
     _emit_json(
         {
             "written": str(out),

@@ -35,6 +35,7 @@ from .errors import (
     SparsityUndetectedError,
 )
 from .linalg import RankDecision
+# ``evaluate`` is unused here; bench/tracer.py wraps ``multivar.evaluate`` by name
 from .model import DirectionBasis, ExponentialModel, Term, canonicalize, evaluate
 from .oracle import Oracle, SequenceStream
 from .prony import (
@@ -56,6 +57,7 @@ __all__ = [
     "assemble_exponents",
     "disentangle_pile",
     "cancellation_rescue",
+    "sample_residuals",
     "budget_bound",
     "BUDGET_CONSTANT",
 ]
@@ -406,16 +408,16 @@ def _merge_close_nodes(logs, coeffs, node_tol):
     return merged_logs, merged_coeffs, True
 
 
-def _relative_residuals(model, entries):
-    if not entries:
-        return 0.0
-    values = np.array([v for _, v in entries])
-    floor = 1e-12 * float(np.max(np.abs(values) + 1e-300))
-    worst = 0.0
-    for point, value in entries:
-        predicted = evaluate(model, point)
-        worst = max(worst, abs(predicted - value) / max(abs(value), floor))
-    return worst
+def sample_residuals(model, entries):
+    """Model values ``exp(P @ E^T) @ c`` at the points of ledger ``entries``
+    and their errors relative to ``max(|value|, 1e-12 * max(|v| + 1e-300))``,
+    as ``(predicted, rel_err)`` arrays in ledger order."""
+    points = np.array([p for p, _ in entries], dtype=float).reshape(-1, model.dimension)
+    values = np.array([v for _, v in entries], dtype=complex)
+    predicted = np.exp(points @ model.exponent_matrix().T) @ model.coefficients()
+    magnitudes = np.abs(values)
+    floor = 1e-12 * float(np.max(magnitudes + 1e-300, initial=0.0))
+    return predicted, np.abs(predicted - values) / np.maximum(magnitudes, floor)
 
 
 def _check_oracle(oracle, basis):
@@ -548,7 +550,7 @@ def recover_known_n(
         warnings=tuple(warnings),
         detected_n=model.n_terms,
         conservation_rel_err=float(conservation),
-        max_residual_rel=float(_relative_residuals(model, entries)),
+        max_residual_rel=float(sample_residuals(model, entries)[1].max(initial=0.0)),
     )
 
 
@@ -878,7 +880,7 @@ def recover_unknown_n(
         warnings=tuple(warnings),
         detected_n=model.n_terms,
         conservation_rel_err=float(conservation),
-        max_residual_rel=float(_relative_residuals(model, entries)),
+        max_residual_rel=float(sample_residuals(model, entries)[1].max(initial=0.0)),
     )
 
 

@@ -7,6 +7,7 @@ are synthetic (closed-form model), noisy wrappers, or tabulated files.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,6 +235,8 @@ def read_samples_file(path):
                 )
             point = tuple(float(x) for x in fields[:dimension])
             value = complex(float(fields[dimension]), float(fields[dimension + 1]))
+            if not all(map(cmath.isfinite, (*point, value))):
+                raise InputError(f"{path}:{lineno}: non-finite coordinate or value")
             rows.append((point, value))
     if dimension is None:
         raise InputError(f"{path}: empty samples file")

@@ -3,8 +3,15 @@
 import json
 
 import numpy as np
+import pytest
 
-from expsum import ExponentialModel, evaluate
+from expsum import (
+    ExponentialModel,
+    SyntheticOracle,
+    evaluate,
+    identity_basis,
+    recover_known_n,
+)
 from expsum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, RunConfig, main
 from expsum.oracle import read_points_file, write_samples_file
 
@@ -140,6 +147,55 @@ def test_recover_missing_sample_names_point(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error_class"] == "MissingSampleError"
     assert "(1.0, 0.0)" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "row", ["1 nan 0", "1 0 inf", "nan 1 0", "-inf 1 0"]
+)
+def test_recover_rejects_non_finite_samples(tmp_path, capsys, row):
+    samples_path = tmp_path / "samples.txt"
+    samples_path.write_text(f"dim=1\n0 1 0\n{row}\n2 1 0\n3 1 0\n")
+    code, _, err = run(
+        ["recover", "--samples", samples_path, "--known-n", 2,
+         "--out", tmp_path / "run"],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    payload = json.loads(err)
+    assert payload["error_class"] == "InputError"
+    assert f"{samples_path}:3:" in payload["message"]
+
+
+def test_report_json_is_report_dict_plus_residual_rows(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    run(
+        ["generate", "--dimension", 3, "--terms", 4, "--seed", 4,
+         "--out", model_path],
+        capsys,
+    )
+    out_dir = tmp_path / "run"
+    code, _, _ = run(
+        ["recover", "--model", model_path, "--known-n", 4, "--out", out_dir],
+        capsys,
+    )
+    assert code == EXIT_OK
+    text = (out_dir / "report.json").read_text()
+    assert text.count("\n") == 1
+    doc = json.loads(text)
+    rows = doc.pop("residuals")
+    model = ExponentialModel.load(model_path)
+    oracle = SyntheticOracle(model)
+    report = recover_known_n(oracle, identity_basis(3), 4)
+    assert doc == json.loads(json.dumps(report.to_dict()))
+    assert len(rows) == len(oracle.ledger.entries) == 16
+    for row, (point, value) in zip(rows, oracle.ledger.entries):
+        assert row["point"] == list(point)
+        assert complex(*row["value"]) == value
+        expected = evaluate(report.model, np.asarray(point))
+        assert abs(complex(*row["model_value"]) - expected) <= 1e-12 * abs(
+            expected
+        )
+    assert max(r["rel_err"] for r in rows) == doc["max_residual_rel"]
 
 
 def test_verify_detects_perturbed_coefficient(tmp_path, capsys):

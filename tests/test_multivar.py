@@ -18,6 +18,7 @@ from expsum import (
     canonicalize,
     detect_sparsity,
     disentangle_pile,
+    evaluate,
     fit_coefficients,
     fit_nodes,
     identity_basis,
@@ -27,7 +28,7 @@ from expsum import (
     take_logs,
     vandermonde,
 )
-from expsum.multivar import default_rescue_epsilon
+from expsum.multivar import default_rescue_epsilon, sample_residuals
 from expsum.oracle import SequenceStream
 from expsum.synth import (
     cancellation_instance,
@@ -346,6 +347,38 @@ def test_conservation_and_residual_reports():
     report = recover_known_n(SyntheticOracle(model), basis, 4)
     assert report.conservation_rel_err < 1e-8
     assert report.max_residual_rel < 1e-6
+
+
+def test_sample_residuals_vectorised_matches_evaluate_loop():
+    rng = np.random.default_rng(34)
+    basis = random_basis(3, rng)
+    model = random_model(3, 5, rng, basis)
+    oracle = SyntheticOracle(model)
+    recover_known_n(oracle, basis, 5)
+    entries = [(p, v * (1 + 1e-6j)) for p, v in oracle.ledger.entries]
+    predicted, rel_err = sample_residuals(model, entries)
+    values = np.array([v for _, v in entries])
+    loop = np.array([evaluate(model, p) for p, _ in entries])
+    np.testing.assert_allclose(predicted, loop, rtol=1e-12, atol=0)
+    floor = 1e-12 * np.max(np.abs(values))
+    np.testing.assert_allclose(
+        rel_err, np.abs(loop - values) / np.maximum(np.abs(values), floor),
+        rtol=1e-6,
+    )
+
+
+def test_sample_residuals_empty_ledger_and_all_zero_samples():
+    model = ExponentialModel(2, (Term(1.0, (0.1, -0.2)),))
+    predicted, rel_err = sample_residuals(model, [])
+    assert predicted.shape == rel_err.shape == (0,)
+    assert rel_err.max(initial=0.0) == 0.0
+    zeros = [((0.0, 0.0), 0j), ((1.0, 0.0), 0j)]
+    # the floor is 1e-312 here, so a nonzero prediction's error overflows
+    with np.errstate(over="ignore"):
+        rel_err = sample_residuals(model, zeros)[1]
+    assert rel_err.tolist() == [np.inf, np.inf]
+    zero_model = ExponentialModel(2, (Term(0.0, (0.1, -0.2)),))
+    assert sample_residuals(zero_model, zeros)[1].tolist() == [0.0, 0.0]
 
 
 def test_pairing_invariant_under_node_permutation():
