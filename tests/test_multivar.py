@@ -1,5 +1,7 @@
 """Recovery drivers: fixed-budget path, adaptive path, piles, rescue, budget."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -373,10 +375,12 @@ def test_sample_residuals_empty_ledger_and_all_zero_samples():
     assert predicted.shape == rel_err.shape == (0,)
     assert rel_err.max(initial=0.0) == 0.0
     zeros = [((0.0, 0.0), 0j), ((1.0, 0.0), 0j)]
-    # the floor is 1e-312 here, so a nonzero prediction's error overflows
-    with np.errstate(over="ignore"):
-        rel_err = sample_residuals(model, zeros)[1]
-    assert rel_err.tolist() == [np.inf, np.inf]
+    # every sample is zero, so the floor is 1 and the errors are absolute
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predicted, rel_err = sample_residuals(model, zeros)
+    assert np.all(np.isfinite(rel_err))
+    assert rel_err.tolist() == np.abs(predicted).tolist()
     zero_model = ExponentialModel(2, (Term(0.0, (0.1, -0.2)),))
     assert sample_residuals(zero_model, zeros)[1].tolist() == [0.0, 0.0]
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum import (
     DimensionMismatchError,
     ExponentialModel,
+    InputError,
     MissingSampleError,
     NoisyOracle,
     SyntheticOracle,
@@ -18,6 +21,7 @@ from expsum import (
     recover_known_n,
 )
 from expsum.oracle import (
+    SequenceStream,
     read_points_file,
     read_samples_file,
     write_points_file,
@@ -165,3 +169,150 @@ def test_plan_points_unknown_covers_adaptive_collision_run():
             tuple(np.round(p, 10)) for p, _ in oracle.ledger.entries
         }
         assert requested <= planned
+
+
+def test_read_points_file_rejects_bad_fields(tmp_path):
+    path = tmp_path / "points.txt"
+    for text, lineno in [("dim=2\n0 1\n1 abc\n", 3), ("dim=x\n0 1\n", 1),
+                         ("dim=0\n", 1), ("dim=1\nnan\n", 2)]:
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"{path}:{lineno}:"):
+            read_points_file(path)
+
+
+def _source(kind, model, points):
+    table = TabulatedOracle(model.dimension)
+    for p in points:
+        table.add(p, evaluate(model, p))
+    return {
+        "synthetic": SyntheticOracle(model),
+        "noisy": NoisyOracle(SyntheticOracle(model), 1e-3, seed=5, relative=True),
+        "tabulated": table,
+        "noisy_tabulated": NoisyOracle(table, 1e-3, seed=5),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", ["synthetic", "noisy", "tabulated", "noisy_tabulated"]
+)
+def test_sample_many_matches_a_loop_of_sample(kind):
+    model = reference_model()
+    points = np.array([[0.01 * s, -0.003 * s + 0.1] for s in range(7)])
+    batched, looped = _source(kind, model, points), _source(kind, model, points)
+    values = batched.sample_many(points)
+    expected = np.array([looped.sample(p) for p in points])
+    ledger_points = lambda o: np.array([p for p, _ in o.ledger.entries]).tobytes()
+    assert ledger_points(batched) == ledger_points(looped) == points.tobytes()
+    assert [v for _, v in batched.ledger.entries] == values.tolist()
+    assert np.all(np.abs(values - expected) <= 1e-13 * np.abs(expected))
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_noisy_batch_repeats_the_per_point_noise_stream(relative):
+    # one (m, 2) draw must give what m draws of standard_normal(2) gave,
+    # applied as clean + scale * complex(g1, g2) / sqrt(2)
+    model = reference_model()
+    points = np.array([[0.01 * s, -0.003 * s + 0.1] for s in range(7)])
+    table = _source("tabulated", model, points)
+    values = NoisyOracle(table, 1e-3, seed=9, relative=relative).sample_many(points)
+    rng = np.random.default_rng(9)
+    expected = []
+    for p in points:
+        clean = evaluate(model, p)
+        scale = 1e-3 * (abs(clean) if relative else 1.0)
+        g1, g2 = rng.standard_normal(2)
+        expected.append(clean + scale * complex(g1, g2) / np.sqrt(2.0))
+    assert values.tolist() == expected
+
+
+def test_sample_many_empty_batch_leaves_ledger():
+    oracle = SyntheticOracle(reference_model())
+    oracle.sample([0.0, 0.0])
+    before = list(oracle.ledger.entries)
+    values = oracle.sample_many(np.empty((0, 2)))
+    assert values.shape == (0,)
+    assert oracle.ledger.entries == before
+
+
+def test_sample_many_rejects_bad_points():
+    oracle = SyntheticOracle(reference_model())
+    with pytest.raises(DimensionMismatchError):
+        oracle.sample_many(np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        oracle.sample_many(np.zeros(2))
+    with pytest.raises(InputError):
+        oracle.sample_many(np.array([[0.0, 1.0], [1.0, 1j]]))
+    assert oracle.ledger.count == 0
+    # a zero imaginary part is a real point
+    oracle.sample_many(np.array([[0.0, 1.0 + 0j]]))
+    assert oracle.ledger.entries[0][0] == (0.0, 1.0)
+
+
+def test_tabulated_batch_is_all_or_nothing():
+    table = TabulatedOracle(1)
+    for x in (0.0, 1.0, 2.0):
+        table.add([x], complex(x, 1.0))
+    table.sample([0.0])
+    with pytest.raises(MissingSampleError):
+        table.sample_many(np.array([[1.0], [5.0], [2.0]]))
+    assert table.ledger.entries == [((0.0,), 1j)]
+
+
+def test_sequence_stream_draws_missing_indices_in_one_batch():
+    oracle = SyntheticOracle(reference_model())
+    calls = []
+    sample_many = oracle.sample_many
+    oracle.sample_many = lambda points: calls.append(len(points)) or sample_many(points)
+    stream = SequenceStream(oracle, [0.1, 0.0], [0.02, 0.01])
+    stream.ensure(5)
+    stream.ensure(3)
+    assert stream.value_at(6) == oracle.ledger.entries[6][1]
+    assert calls == [5, 2]
+    points = [p for p, _ in oracle.ledger.entries]
+    assert points == [tuple(np.array([0.1, 0.0]) + s * np.array([0.02, 0.01]))
+                      for s in range(7)]
+
+
+def test_model_arrays_are_cached_and_read_only():
+    model = reference_model()
+    assert model.coefficients() is model.coefficients()
+    assert model.exponent_matrix() is model.exponent_matrix()
+    with pytest.raises(ValueError):
+        model.coefficients()[0] = 0.0
+    with pytest.raises(ValueError):
+        model.exponent_matrix()[0, 0] = 0.0
+    # the caches are not fields: equality and hashing see only the terms
+    assert model == reference_model()
+    assert hash(model) == hash(reference_model())
+    assert "_coefficients" not in repr(model)
+
+
+_component = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sample_many_agrees_with_evaluate(data):
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
+    terms = tuple(
+        Term(
+            complex(data.draw(_component), data.draw(_component)),
+            tuple(
+                complex(data.draw(_component), 3 * data.draw(_component))
+                for _ in range(d)
+            ),
+        )
+        for _ in range(n)
+    )
+    model = ExponentialModel(d, terms)
+    m = data.draw(st.integers(0, 8))
+    points = np.array(
+        [[data.draw(st.floats(-4.0, 4.0)) for _ in range(d)] for _ in range(m)]
+    ).reshape(m, d)
+    values = SyntheticOracle(model).sample_many(points)
+    expected = np.array([evaluate(model, p) for p in points], dtype=complex)
+    scale = np.abs(np.exp(points @ model.exponent_matrix().T)) @ np.abs(
+        model.coefficients()
+    )
+    assert np.all(np.abs(values - expected) <= 1e-13 * scale)
