@@ -233,22 +233,39 @@ class RecoveryReport:
         }
 
 
+def _shift_matrices(logs, multipliers) -> np.ndarray:
+    """The matrices exp(multipliers[..., l] * logs[j]), one per leading index
+    of ``multipliers``, after one stacked SVD shows none of them singular."""
+    lg = np.asarray(logs, dtype=complex)
+    kappas = np.asarray(multipliers, dtype=float)
+    if lg.ndim != 1 or kappas.shape[-1:] != lg.shape:
+        raise InputError(
+            f"need {lg.size} multipliers per system, got shape {kappas.shape}"
+        )
+    matrices = np.exp(kappas[..., :, None] * lg)
+    sv = np.linalg.svd(matrices, compute_uv=False)
+    singular = sv[..., -1] <= linalg.SINGULAR_RTOL * sv[..., 0]
+    if np.any(singular):
+        sv = sv[singular][0]
+        raise SingularMatrixError(
+            "shift system is singular (repeated nodes or unlucky "
+            "multipliers); re-draw the multipliers",
+            sigma_min=float(sv[-1]),
+            sigma_max=float(sv[0]),
+        )
+    return matrices
+
+
 def solve_shift_system(logs, multipliers, shift_samples) -> np.ndarray:
     """Solve the exponential Vandermonde system pairing shifts to base nodes.
 
     The matrix entry (l, j) is exp(multipliers[l] * logs[j]); the solution
     components stay positionally paired with the base node logarithms.
+    ``multipliers`` and ``shift_samples`` may carry a leading level axis,
+    one system per level, all solved in one call.
     """
-    matrix = linalg.vandermonde(logs, multipliers)
-    try:
-        return linalg.solve(matrix, shift_samples)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "shift system is singular (repeated nodes or unlucky "
-            "multipliers); re-draw the multipliers",
-            sigma_min=exc.sigma_min,
-            sigma_max=exc.sigma_max,
-        ) from exc
+    samples = np.asarray(shift_samples, dtype=complex)[..., None]
+    return np.linalg.solve(_shift_matrices(logs, multipliers), samples)[..., 0]
 
 
 def assemble_exponents(log_rows, basis: DirectionBasis) -> np.ndarray:
@@ -356,7 +373,7 @@ def cancellation_rescue(
 
 
 def _rescue_probe(oracle, direction, epsilon, k_max, nu_prev, max_terms,
-                  rel_tol, gap_factor, charge=None):
+                  rel_tol, gap_factor):
     direction = np.asarray(direction, dtype=float)
     eps = np.asarray(epsilon, dtype=float)
     if k_max < 0:
@@ -370,14 +387,8 @@ def _rescue_probe(oracle, direction, epsilon, k_max, nu_prev, max_terms,
     best_stream = None
     for k in shifts:
         stream = SequenceStream(oracle, k * eps, direction)
-        value_at = stream.value_at
-        if charge is not None:
-            def value_at(s, _stream=stream):
-                if s >= len(_stream.values):
-                    charge(s + 1 - len(_stream.values))
-                return _stream.value_at(s)
         try:
-            decision = detect_sparsity(value_at, max_terms, rel_tol, gap_factor)
+            decision = detect_sparsity(stream.value_at, max_terms, rel_tol, gap_factor)
         except SparsityUndetectedError:
             decision = RankDecision(max_terms, (), 0.0, False)
         if best is None or (decision.confident, decision.rank) > (
@@ -437,6 +448,32 @@ def _check_oracle(oracle, basis):
         )
 
 
+class _BudgetedOracle:
+    """An oracle seen through a sample budget: ``sample_many`` charges the
+    whole batch before it draws; ``levels`` is reported as the partial."""
+
+    def __init__(self, oracle: Oracle, cap: int, levels: list):
+        self.oracle, self.cap, self.levels = oracle, cap, levels
+        self.start = oracle.ledger.count
+
+    @property
+    def spent(self) -> int:
+        return self.oracle.ledger.count - self.start
+
+    def sample_many(self, points) -> np.ndarray:
+        if self.spent + len(points) > self.cap:
+            raise BudgetExceededError(
+                f"sample budget cap {self.cap} would be exceeded "
+                f"(spent {self.spent}, requesting {len(points)} more)",
+                samples_used=self.spent,
+                partial={
+                    "levels_completed": len(self.levels),
+                    "pile_counts": [lv.pile_count for lv in self.levels],
+                },
+            )
+        return self.oracle.sample_many(points)
+
+
 def recover_known_n(
     oracle: Oracle,
     basis: DirectionBasis,
@@ -494,50 +531,37 @@ def recover_known_n(
     nodes = nodes[order]
     logs = take_logs(nodes)
     alphas = fit_coefficients(logs, seq, mode=config.coefficient_mode)
+    magnitudes = np.abs(alphas)
+    if d > 1 and np.any(magnitudes < CANCELLATION_RTOL * magnitudes.max()):
+        raise CancellationSuspectedError(
+            "a recovered base coefficient is vanishingly small; the "
+            "shift ratios are unreliable (suspect coefficient cancellation)"
+        )
 
-    inner_rows = [list(logs)]
+    # every level's system is checked before any of the (d-1) n shift points
+    # is drawn; the points go out in one batch, level 1 first
+    kappas = np.reshape([basis.multipliers_for(i, n) for i in range(1, d)],
+                        (d - 1, n))
+    matrices = _shift_matrices(logs, kappas)
+    points = kappas[..., None] * basis.direction(0) + basis.matrix()[1:, None]
+    shift_values = oracle.sample_many(points.reshape(-1, d))
+    aggregates = np.linalg.solve(matrices, shift_values.reshape(d - 1, n, 1))
+    # inner[i, j]: term j's inner product with direction i
+    inner = np.vstack([logs, take_logs(aggregates[..., 0] / alphas)])
     levels = [
         LevelState(
-            level=0,
+            level=i,
             pile_count=n,
             omegas=tuple(logs),
             piles=tuple(
-                PileState(0, j, (logs[j],), complex(alphas[j]), 1)
+                PileState(i, j, tuple(inner[: i + 1, j]), complex(alphas[j]), 1)
                 for j in range(n)
             ),
         )
+        for i in range(d)
     ]
 
-    alpha_scale = float(np.max(np.abs(alphas)))
-    base_dir = basis.direction(0)
-    for i in range(1, d):
-        kappas = basis.multipliers_for(i, n)
-        shift = basis.direction(i)
-        shift_values = oracle.sample_many(kappas[:, None] * base_dir + shift)
-        aggregates = solve_shift_system(logs, kappas, shift_values)
-        tiny = np.abs(alphas) < CANCELLATION_RTOL * alpha_scale
-        if np.any(tiny):
-            raise CancellationSuspectedError(
-                "a recovered base coefficient is vanishingly small; the "
-                "shift ratios are unreliable (suspect coefficient "
-                "cancellation)"
-            )
-        inner_rows.append(list(take_logs(aggregates / alphas)))
-        per_term = list(zip(*inner_rows))
-        levels.append(
-            LevelState(
-                level=i,
-                pile_count=n,
-                omegas=tuple(logs),
-                piles=tuple(
-                    PileState(i, j, tuple(per_term[j]), complex(alphas[j]), 1)
-                    for j in range(n)
-                ),
-            )
-        )
-
-    log_rows = np.array(list(zip(*inner_rows)), dtype=complex)
-    phis = assemble_exponents(log_rows, basis)
+    phis = assemble_exponents(inner.T, basis)
     model = canonicalize(
         ExponentialModel(
             d,
@@ -578,39 +602,18 @@ def recover_unknown_n(
     _check_oracle(oracle, basis)
     d = basis.dimension
     rng = np.random.default_rng(config.seed)
-    start = oracle.ledger.count
     cap = config.budget_cap
     if cap is None:
         cap = budget_bound(d, config.max_terms)
     warnings: list[str] = []
     rank_decisions: list[RankDecision] = []
     levels: list[LevelState] = []
-
-    def spent() -> int:
-        return oracle.ledger.count - start
-
-    def charge(count: int) -> None:
-        if spent() + count > cap:
-            raise BudgetExceededError(
-                f"sample budget cap {cap} would be exceeded "
-                f"(spent {spent()}, requesting {count} more)",
-                samples_used=spent(),
-                partial={
-                    "levels_completed": len(levels),
-                    "pile_counts": [lv.pile_count for lv in levels],
-                },
-            )
+    budgeted = _BudgetedOracle(oracle, cap, levels)
 
     base_dir = basis.direction(0)
-    base = SequenceStream(oracle, np.zeros(d), base_dir)
-
-    def charged_base(s: int) -> complex:
-        if s >= len(base.values):
-            charge(s + 1 - len(base.values))
-        return base.value_at(s)
-
+    base = SequenceStream(budgeted, np.zeros(d), base_dir)
     decision0 = detect_sparsity(
-        charged_base, config.max_terms, config.rank_rel_tol, config.gap_factor
+        base.value_at, config.max_terms, config.rank_rel_tol, config.gap_factor
     )
     rank_decisions.append(decision0)
     nu = decision0.rank
@@ -625,9 +628,8 @@ def recover_unknown_n(
             base_dir, config.rescue_epsilon_scale, config.seed
         )
         rescue_decision, rescue_stream = _rescue_probe(
-            oracle, base_dir, epsilon, config.rescue_k_max, nu,
+            budgeted, base_dir, epsilon, config.rescue_k_max, nu,
             config.max_terms, config.rank_rel_tol, config.gap_factor,
-            charge=charge,
         )
         rank_decisions.append(rescue_decision)
         if rescue_decision.rank > nu:
@@ -638,16 +640,12 @@ def recover_unknown_n(
             nu = rescue_decision.rank
             fit_stream = rescue_stream
 
-    if len(fit_stream.values) < 2 * nu:
-        charge(2 * nu - len(fit_stream.values))
-        fit_stream.ensure(2 * nu)
+    fit_stream.ensure(2 * nu)
     nodes = fit_nodes(fit_stream.sequence(), nu, config.node_method)
     logs = take_logs(nodes)
 
     # pile coefficient sums always come from the unshifted base line
-    if len(base.values) < 2 * nu:
-        charge(2 * nu - len(base.values))
-        base.ensure(2 * nu)
+    base.ensure(2 * nu)
     coeff_sums = fit_coefficients(
         logs, base.sequence(), mode=config.coefficient_mode
     )
@@ -692,7 +690,14 @@ def recover_unknown_n(
                 dtype=complex,
             )
             candidate = linalg.vandermonde(omegas, kappas)
-            if linalg.condition_estimate(candidate) <= config.level_condition_limit:
+            cond = linalg.condition_estimate(candidate)
+            if cond <= config.level_condition_limit:
+                # the solves below trust this SVD's singularity verdict
+                if cond * linalg.SINGULAR_RTOL >= 1.0:
+                    raise SingularMatrixError(
+                        f"level {i} shift system is singular to working "
+                        f"tolerance (condition estimate {cond:.3e})"
+                    )
                 matrix = candidate
                 break
             if attempt % 2 == 0:
@@ -710,13 +715,14 @@ def recover_unknown_n(
         accumulated = np.zeros(d)
         for m, w in enumerate(weights):
             accumulated = accumulated + w * basis.direction(m)
+        column_base = kappas[:, None] * accumulated
 
-        sequences = [[p.coeff] for p in piles]
+        # row j: pile j's sequence, one column per shift step s
+        sequences = np.array([[p.coeff] for p in piles], dtype=complex)
         certified = [False] * nu_prev
         ranks = [0] * nu_prev
         fallbacks: list[RankDecision | None] = [None] * nu_prev
         max_pile = config.max_terms - nu_prev + 1
-        s = 0
         m_size = 0
         while not all(certified):
             m_size += 1
@@ -738,25 +744,20 @@ def recover_unknown_n(
                         f"rank {fallbacks[j].rank} at the size cap"
                     )
                 break
-            for _ in range(2):
-                s += 1
-                charge(nu_prev)
-                column = oracle.sample_many(
-                    kappas[:, None] * accumulated + s * shift
-                )
-                solved = linalg.solve(matrix, column)
-                for j in range(nu_prev):
-                    sequences[j].append(complex(solved[j]))
+            # shift steps 2m-1 and 2m: one charge, one draw, one solve
+            steps = np.arange(2 * m_size - 1, 2 * m_size + 1)[:, None, None]
+            values = budgeted.sample_many(
+                (column_base + steps * shift).reshape(-1, d)
+            )
+            solved = np.linalg.solve(matrix, values.reshape(2, nu_prev).T)
+            sequences = np.hstack([sequences, solved])
             # pile matrices share one noise floor (they come from the same
             # solves), so rank thresholds use the level's largest scale
-            pile_svs = [
-                np.linalg.svd(
-                    linalg.hankel(sequences[j], m_size + 1, m_size + 1),
-                    compute_uv=False,
-                )
-                for j in range(nu_prev)
-            ]
-            level_scale = max(float(sv[0]) for sv in pile_svs)
+            idx = np.arange(m_size + 1)
+            pile_svs = np.linalg.svd(
+                sequences[:, idx[:, None] + idx], compute_uv=False
+            )
+            level_scale = float(pile_svs[:, 0].max())
             for j in range(nu_prev):
                 if certified[j]:
                     continue
@@ -798,7 +799,7 @@ def recover_unknown_n(
         new_piles: list[_Pile] = []
         for j, pile in enumerate(piles):
             r = ranks[j]
-            seq = np.asarray(sequences[j], dtype=complex)
+            seq = sequences[j]
             try:
                 sub_nodes, sub_coeffs = disentangle_pile(seq, r)
             except PencilDegenerateError:
@@ -851,7 +852,7 @@ def recover_unknown_n(
     )
 
     # final coefficients: least squares over every sample this run consumed
-    entries = oracle.ledger.since(start)
+    entries = oracle.ledger.since(budgeted.start)
     points = np.array([p for p, _ in entries], dtype=float)
     observed = np.array([v for _, v in entries], dtype=complex)
     design = exp_matrix(provisional, points)
@@ -878,7 +879,7 @@ def recover_unknown_n(
 
     return RecoveryReport(
         model=model,
-        samples_used=spent(),
+        samples_used=budgeted.spent,
         per_level=tuple(levels),
         rank_confidences=tuple(rank_decisions),
         warnings=tuple(warnings),

@@ -45,7 +45,8 @@ class Oracle:
 
     A source implements :meth:`_values`, which maps an (m, d) float array of
     points to m complex values.  Sampling is all-or-nothing per batch: if
-    ``_values`` raises, nothing from that batch reaches the ledger.
+    ``_values`` raises or returns a non-finite value, nothing from that
+    batch reaches the ledger.
     """
 
     def __init__(self, dimension: int):
@@ -70,6 +71,12 @@ class Oracle:
             pts = pts.real
         pts = pts.astype(float)
         values = self._values(pts)
+        finite = np.isfinite(values)
+        if not finite.all():
+            point = tuple(pts[np.argmin(finite)].tolist())
+            raise InputError(
+                f"the source value at point {point} overflowed or is not finite"
+            )
         self.ledger.extend(pts, values)
         return values
 

@@ -97,8 +97,9 @@ def detect_sparsity(
     values: list[complex] = [value_at(0)]
     fallback = None
     for m in range(1, max_terms + 1):
-        while len(values) < 2 * m + 1:
-            values.append(value_at(len(values)))
+        # the later index first, so a memoizing supplier draws both in one batch
+        last = value_at(2 * m)
+        values += [value_at(2 * m - 1), last]
         decision = linalg.numerical_rank(
             linalg.hankel(values, m + 1, m + 1), rel_tol, gap_factor
         )

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file formats, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from expsum import (
     ExponentialModel,
     SyntheticOracle,
+    Term,
     evaluate,
     identity_basis,
     recover_known_n,
@@ -254,6 +256,24 @@ def test_recover_requires_exactly_one_source(tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert json.loads(err)["error_class"] == "InputError"
+
+
+def test_recover_overflowing_model_exits_with_input_error(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    ExponentialModel(
+        1, (Term(1.0, (800.0,)), Term(2.0, (0.1j,)))
+    ).save(model_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, _, err = run(
+            ["recover", "--model", model_path, "--known-n", 2,
+             "--out", tmp_path / "run"],
+            capsys,
+        )
+    assert code == EXIT_INPUT
+    payload = json.loads(err)
+    assert payload["error_class"] == "InputError"
+    assert "overflowed or is not finite" in payload["message"]
 
 
 def test_demo_command_passes(capsys):

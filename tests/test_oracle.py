@@ -258,6 +258,23 @@ def test_tabulated_batch_is_all_or_nothing():
     assert table.ledger.entries == [((0.0,), 1j)]
 
 
+@pytest.mark.parametrize(
+    "bad", [complex("nan"), complex("inf"), complex(1, float("-inf"))]
+)
+def test_sample_many_rejects_non_finite_values(bad):
+    table = TabulatedOracle(1)
+    for x, value in ((0.0, 1.0), (1.0, bad), (2.0, 2.0)):
+        table.add([x], value)
+    message = r"point \(1\.0,\) overflowed or is not finite"
+    with pytest.raises(InputError, match=message):
+        table.sample_many(np.array([[0.0], [1.0], [2.0]]))
+    assert table.ledger.count == 0
+    noisy = NoisyOracle(table, sigma=1e-8, seed=1)
+    with pytest.raises(InputError):
+        noisy.sample([1.0])
+    assert noisy.ledger.count == 0
+
+
 def test_sequence_stream_draws_missing_indices_in_one_batch():
     oracle = SyntheticOracle(reference_model())
     calls = []
