@@ -67,11 +67,9 @@ from .oracle import (
 )
 from .prony import (
     EquidistantSequence,
-    UnivariateFit,
     detect_sparsity,
     fit_coefficients,
     fit_nodes,
-    fit_sequence,
     take_logs,
 )
 

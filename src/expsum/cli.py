@@ -206,12 +206,13 @@ def cmd_recover(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.model.save(out / "recovered_model.json")
     doc = report.to_dict()
-    entries = oracle.ledger.entries
-    predicted, rel_err = sample_residuals(report.model, entries)
+    points, values = oracle.ledger.arrays()
+    predicted, rel_err = sample_residuals(report.model, points, values)
     doc["residuals"] = [
-        {"point": list(point), "value": [value.real, value.imag],
+        {"point": point, "value": [value.real, value.imag],
          "model_value": [p.real, p.imag], "rel_err": r}
-        for (point, value), p, r in zip(entries, predicted.tolist(), rel_err.tolist())
+        for point, value, p, r in zip(points.tolist(), values.tolist(),
+                                      predicted.tolist(), rel_err.tolist())
     ]
     # no indent: json's fast C encoder only runs without one
     (out / "report.json").write_text(

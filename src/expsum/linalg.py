@@ -203,6 +203,7 @@ def generalized_eigenvalues(
     b,
     singular_rtol: float = 1e-12,
     condition_switch: float = PENCIL_CONDITION_SWITCH,
+    b_singular_values=None,
 ) -> np.ndarray:
     """Eigenvalues lambda of the pencil (a, b): det(a - lambda b) = 0.
 
@@ -210,7 +211,8 @@ def generalized_eigenvalues(
     eigenproblem of b^{-1} a; otherwise a QZ decomposition is used.  The
     eigenvalue order is unspecified.  Raises
     :class:`PencilDegenerateError` when b is singular to tolerance, which
-    usually means the assumed problem size is too large.
+    usually means the assumed problem size is too large.  Known singular
+    values of b (descending) may be passed as ``b_singular_values``.
     """
     am = np.asarray(a, dtype=complex)
     bm = np.asarray(b, dtype=complex)
@@ -219,7 +221,9 @@ def generalized_eigenvalues(
             f"pencil matrices must be square and matching, got "
             f"{am.shape} and {bm.shape}"
         )
-    sv = np.linalg.svd(bm, compute_uv=False)
+    sv = b_singular_values
+    if sv is None:
+        sv = np.linalg.svd(bm, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= singular_rtol * sv[0]:
         raise PencilDegenerateError(
             "pencil right-hand matrix is singular to tolerance "

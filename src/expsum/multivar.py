@@ -426,13 +426,13 @@ def _merge_close_nodes(logs, coeffs, node_tol):
     return merged_logs, merged_coeffs, True
 
 
-def sample_residuals(model, entries):
-    """Model values ``exp(P @ E^T) @ c`` at the points of ledger ``entries``
-    and their errors relative to ``max(|value|, 1e-12 * max |v|)``, as
-    ``(predicted, rel_err)`` arrays in ledger order.  When every sample is
-    zero the floor is 1, so the errors are absolute."""
-    points = np.array([p for p, _ in entries], dtype=float).reshape(-1, model.dimension)
-    values = np.array([v for _, v in entries], dtype=complex)
+def sample_residuals(model, points, values):
+    """Model values ``exp(P @ E^T) @ c`` at the (m, d) sample ``points`` and
+    their errors relative to ``max(|value|, 1e-12 * max |v|)`` against the m
+    sampled ``values``, as ``(predicted, rel_err)`` arrays in sample order.
+    When every sample is zero the floor is 1, so the errors are absolute."""
+    points = np.asarray(points, dtype=float).reshape(-1, model.dimension)
+    values = np.asarray(values, dtype=complex)
     predicted = exp_matrix(model, points) @ model.coefficients()
     magnitudes = np.abs(values)
     peak = float(np.max(magnitudes, initial=0.0))
@@ -494,7 +494,6 @@ def recover_known_n(
     _check_oracle(oracle, basis)
     d = basis.dimension
     start = oracle.ledger.count
-    warnings: list[str] = []
 
     base = SequenceStream(oracle, np.zeros(d), basis.direction(0))
     base.ensure(2 * n)
@@ -512,7 +511,7 @@ def recover_known_n(
         )
 
     try:
-        nodes = fit_nodes(seq, n, config.node_method)
+        nodes = fit_nodes(seq, n, config.node_method, decision.singular_values)
     except RankMismatchError as exc:
         raise CollisionDetectedError(
             f"node fit failed at rank {n} ({exc}); use recover_unknown_n",
@@ -527,9 +526,8 @@ def recover_known_n(
                 "two base nodes nearly coincide; use recover_unknown_n",
                 nu=n - 1,
             )
-    order = _node_sort_order(take_logs(nodes))
-    nodes = nodes[order]
     logs = take_logs(nodes)
+    logs = logs[_node_sort_order(logs)]
     alphas = fit_coefficients(logs, seq, mode=config.coefficient_mode)
     magnitudes = np.abs(alphas)
     if d > 1 and np.any(magnitudes < CANCELLATION_RTOL * magnitudes.max()):
@@ -538,24 +536,29 @@ def recover_known_n(
             "shift ratios are unreliable (suspect coefficient cancellation)"
         )
 
-    # every level's system is checked before any of the (d-1) n shift points
-    # is drawn; the points go out in one batch, level 1 first
-    kappas = np.reshape([basis.multipliers_for(i, n) for i in range(1, d)],
-                        (d - 1, n))
-    matrices = _shift_matrices(logs, kappas)
-    points = kappas[..., None] * basis.direction(0) + basis.matrix()[1:, None]
-    shift_values = oracle.sample_many(points.reshape(-1, d))
-    aggregates = np.linalg.solve(matrices, shift_values.reshape(d - 1, n, 1))
     # inner[i, j]: term j's inner product with direction i
-    inner = np.vstack([logs, take_logs(aggregates[..., 0] / alphas)])
+    inner = logs[None]
+    if d > 1:
+        # every level's system is checked before any of the (d-1) n shift
+        # points is drawn; the points go out in one batch, level 1 first
+        kappas = np.reshape([basis.multipliers_for(i, n) for i in range(1, d)],
+                            (d - 1, n))
+        matrices = _shift_matrices(logs, kappas)
+        points = kappas[..., None] * basis.direction(0) + basis.matrix()[1:, None]
+        shift_values = oracle.sample_many(points.reshape(-1, d))
+        aggregates = np.linalg.solve(matrices, shift_values.reshape(d - 1, n, 1))
+        inner = np.vstack([inner, take_logs(aggregates[..., 0] / alphas)])
+    omegas = tuple(logs.tolist())
+    coefficients = alphas.tolist()
+    rows = inner.T.tolist()
     levels = [
         LevelState(
             level=i,
             pile_count=n,
-            omegas=tuple(logs),
+            omegas=omegas,
             piles=tuple(
-                PileState(i, j, tuple(inner[: i + 1, j]), complex(alphas[j]), 1)
-                for j in range(n)
+                PileState(i, j, tuple(row[: i + 1]), coefficients[j], 1)
+                for j, row in enumerate(rows)
             ),
         )
         for i in range(d)
@@ -563,25 +566,22 @@ def recover_known_n(
 
     phis = assemble_exponents(inner.T, basis)
     model = canonicalize(
-        ExponentialModel(
-            d,
-            tuple(Term(complex(alphas[j]), tuple(phis[j])) for j in range(n)),
-        ),
+        ExponentialModel(d, tuple(map(Term, coefficients, phis.tolist()))),
         merge_tol=config.merge_tol,
     )
 
-    entries = oracle.ledger.since(start)
     f0 = values[0]
     conservation = abs(np.sum(alphas) - f0) / max(abs(f0), 1e-300)
+    residuals = sample_residuals(model, *oracle.ledger.arrays(start))[1]
     return RecoveryReport(
         model=model,
         samples_used=oracle.ledger.count - start,
         per_level=tuple(levels),
         rank_confidences=(decision,),
-        warnings=tuple(warnings),
+        warnings=(),
         detected_n=model.n_terms,
         conservation_rel_err=float(conservation),
-        max_residual_rel=float(sample_residuals(model, entries)[1].max(initial=0.0)),
+        max_residual_rel=float(residuals.max(initial=0.0)),
     )
 
 
@@ -852,9 +852,7 @@ def recover_unknown_n(
     )
 
     # final coefficients: least squares over every sample this run consumed
-    entries = oracle.ledger.since(budgeted.start)
-    points = np.array([p for p, _ in entries], dtype=float)
-    observed = np.array([v for _, v in entries], dtype=complex)
+    points, observed = oracle.ledger.arrays(budgeted.start)
     design = exp_matrix(provisional, points)
     try:
         final_alphas = linalg.solve_least_squares(
@@ -885,7 +883,9 @@ def recover_unknown_n(
         warnings=tuple(warnings),
         detected_n=model.n_terms,
         conservation_rel_err=float(conservation),
-        max_residual_rel=float(sample_residuals(model, entries)[1].max(initial=0.0)),
+        max_residual_rel=float(
+            sample_residuals(model, points, observed)[1].max(initial=0.0)
+        ),
     )
 
 

@@ -8,7 +8,6 @@ are synthetic (closed-form model), noisy wrappers, or tabulated files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,22 +21,38 @@ QUANTIZE_DIGITS = 12
 MATCH_TOL = 1e-9
 
 
-@dataclass
 class SampleLedger:
-    """Append-only record of (point, value) oracle calls."""
+    """Append-only record of oracle calls, kept as a private copy of each
+    batch: an (m, d) point array and its m values.  :meth:`arrays` hands out
+    read-only copies; ``entries`` and :meth:`since` build the
+    ``(point tuple, value)`` view when read."""
 
-    entries: list[tuple[tuple[float, ...], complex]] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
+    def __init__(self, dimension: int):
+        self.count = 0
+        self._points = [np.empty((0, dimension))]
+        self._values = [np.empty(0, dtype=complex)]
 
     def extend(self, points: np.ndarray, values: np.ndarray) -> None:
         """Record a batch: an (m, d) real point array and its m values."""
-        self.entries.extend(zip(map(tuple, points.tolist()), values.tolist()))
+        self._points.append(np.array(points, dtype=float))
+        self._values.append(np.array(values, dtype=complex))
+        self.count += len(values)
+
+    def arrays(self, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Points (m, d) and values (m,) of every call from index ``start``
+        on, in call order, as read-only arrays."""
+        points = np.concatenate(self._points)[start:]
+        values = np.concatenate(self._values)[start:]
+        points.flags.writeable = values.flags.writeable = False
+        return points, values
 
     def since(self, start: int) -> list[tuple[tuple[float, ...], complex]]:
-        return self.entries[start:]
+        points, values = self.arrays(start)
+        return list(zip(map(tuple, points.tolist()), values.tolist()))
+
+    @property
+    def entries(self) -> list[tuple[tuple[float, ...], complex]]:
+        return self.since(0)
 
 
 class Oracle:
@@ -53,7 +68,7 @@ class Oracle:
         if dimension < 1:
             raise InputError("oracle dimension must be >= 1")
         self.dimension = dimension
-        self.ledger = SampleLedger()
+        self.ledger = SampleLedger(dimension)
 
     def _values(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -70,7 +85,9 @@ class Oracle:
                 raise InputError("sample points must be real vectors")
             pts = pts.real
         pts = pts.astype(float)
-        values = self._values(pts)
+        # an overflow surfaces as the InputError below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self._values(pts)
         finite = np.isfinite(values)
         if not finite.all():
             point = tuple(pts[np.argmin(finite)].tolist())

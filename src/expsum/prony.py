@@ -19,6 +19,7 @@ from .errors import (
     InputError,
     InvalidNodeError,
     PencilDegenerateError,
+    RankDeficiencyError,
     RankMismatchError,
     SingularMatrixError,
     SparsityUndetectedError,
@@ -63,16 +64,6 @@ class EquidistantSequence:
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=complex)
-
-
-@dataclass(frozen=True)
-class UnivariateFit:
-    """Full result of a univariate fit: nodes, principal logs, coefficients."""
-
-    nodes: tuple[complex, ...]
-    logs: tuple[complex, ...]
-    coefficients: tuple[complex, ...]
-    rank_decision: RankDecision
 
 
 def detect_sparsity(
@@ -120,13 +111,15 @@ def fit_nodes(
     sequence: EquidistantSequence,
     nu: int,
     method: str = "generalized_eig",
+    singular_values=None,
 ) -> np.ndarray:
     """Extract the nu nodes exp(Phi_j) from >= 2 nu equidistant samples.
 
     ``generalized_eig`` solves the shifted-vs-unshifted Hankel pencil;
     ``hankel_polynomial`` solves the Hankel system for the monic polynomial
     whose roots are the nodes, then roots it via its companion matrix.
-    Both agree to high accuracy on exact data.
+    Both agree to high accuracy on exact data.  The pencil reuses known
+    ``singular_values`` of the nu x nu Hankel matrix instead of its own SVD.
     """
     if nu < 1:
         raise InputError("nu must be >= 1")
@@ -140,7 +133,9 @@ def fit_nodes(
     h1 = linalg.hankel(values[1:], nu, nu)
     if method == "generalized_eig":
         try:
-            return linalg.generalized_eigenvalues(h1, h0)
+            return linalg.generalized_eigenvalues(
+                h1, h0, b_singular_values=singular_values
+            )
         except PencilDegenerateError as exc:
             raise RankMismatchError(
                 f"Hankel pencil degenerate at nu={nu}; re-detect the rank"
@@ -184,7 +179,8 @@ def fit_coefficients(
     ``least_squares`` uses all available samples (recommended for noisy
     data); ``square_k`` solves the nu x nu system built from samples
     F_k ... F_{k+nu-1}.  A :class:`ConditioningWarning` is emitted when the
-    system's condition estimate exceeds 1e12.
+    system's condition estimate exceeds 1e12 (``least_squares`` then raises
+    :class:`RankDeficiencyError`: it stops at a condition of 1e8).
     """
     lg = np.asarray(logs, dtype=complex)
     nu = lg.size
@@ -206,34 +202,22 @@ def fit_coefficients(
     else:
         raise InputError(f"unknown coefficient mode: {mode!r}")
     matrix = linalg.vandermonde(lg, powers)
-    cond = linalg.condition_estimate(matrix)
+    if mode == "least_squares":
+        try:
+            return linalg.solve_least_squares(matrix, rhs)
+        except RankDeficiencyError as exc:
+            sv = exc.decision.singular_values
+            _warn_conditioning(sv[0] / sv[-1] if sv[-1] else float("inf"))
+            raise
+    _warn_conditioning(linalg.condition_estimate(matrix))
+    return linalg.solve(matrix, rhs)
+
+
+def _warn_conditioning(cond: float) -> None:
     if cond > CONDITIONING_LIMIT:
         warnings.warn(
             f"coefficient system condition estimate {cond:.2e} exceeds "
             f"{CONDITIONING_LIMIT:.0e}",
             ConditioningWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    if mode == "least_squares":
-        return linalg.solve_least_squares(matrix, rhs)
-    return linalg.solve(matrix, rhs)
-
-
-def fit_sequence(
-    sequence: EquidistantSequence,
-    nu: int,
-    method: str = "generalized_eig",
-    mode: str = "least_squares",
-    rank_decision: RankDecision | None = None,
-) -> UnivariateFit:
-    """Convenience wrapper: nodes, principal logs, and coefficients at once."""
-    nodes = fit_nodes(sequence, nu, method)
-    logs = take_logs(nodes)
-    coeffs = fit_coefficients(logs, sequence, mode=mode)
-    if rank_decision is None:
-        rank_decision = linalg.numerical_rank(
-            linalg.hankel(sequence.array(), nu, nu)
-        )
-    return UnivariateFit(
-        tuple(nodes), tuple(logs), tuple(coeffs), rank_decision
-    )

@@ -90,6 +90,32 @@ def test_known_n_ledger_is_plan_points_in_order(basis):
     assert np.array_equal(ledger_points(oracle), np.array(plan_points(basis, 3)))
 
 
+@pytest.mark.parametrize("d, svds", [(1, 1), (3, 2)])
+def test_known_n_decomposes_each_matrix_once(monkeypatch, d, svds):
+    # one SVD of the base Hankel matrix serves the rank decision and the
+    # pencil; d > 1 adds one stacked SVD of the shift matrices
+    basis = identity_basis(d)
+    model = random_model(d, 4, np.random.default_rng(53), basis)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    report = recover_known_n(SyntheticOracle(model), basis, 4)
+    assert report.samples_used == (d + 1) * 4
+    assert len(calls) == svds
+
+
+def test_known_n_base_points_have_no_negative_zero():
+    basis = DirectionBasis(2, ((-0.3, -0.2), (0.1, -0.4)))
+    model = random_model(2, 3, np.random.default_rng(54), basis)
+    oracle = SyntheticOracle(model)
+    recover_known_n(oracle, basis, 3)
+    points, _ = oracle.ledger.arrays()
+    assert points[0].tolist() == [0.0, 0.0]
+    assert not np.any(np.signbit(points[0]))
+    assert np.array_equal(points, np.array(plan_points(basis, 3)))
+
+
 def test_stacked_shift_solve_matches_per_level_solves():
     rng = np.random.default_rng(51)
     logs = rng.uniform(-0.3, 0.3, 4) + 1j * rng.uniform(-2, 2, 4)

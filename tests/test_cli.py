@@ -1,11 +1,16 @@
 """Command-line surface: subcommands, file formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expsum
 from expsum import (
     ExponentialModel,
     SyntheticOracle,
@@ -274,6 +279,23 @@ def test_recover_overflowing_model_exits_with_input_error(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error_class"] == "InputError"
     assert "overflowed or is not finite" in payload["message"]
+
+
+def test_recover_overflowing_model_stderr_is_one_json_object(tmp_path):
+    # numpy's overflow warnings would otherwise precede the error object
+    model_path = tmp_path / "model.json"
+    ExponentialModel(
+        1, (Term(1.0, (800.0,)), Term(2.0, (0.1j,)))
+    ).save(model_path)
+    src = str(Path(expsum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "expsum.cli", "recover", "--model",
+         str(model_path), "--known-n", "2", "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert json.loads(proc.stderr)["error_class"] == "InputError"
 
 
 def test_demo_command_passes(capsys):

@@ -357,10 +357,10 @@ def test_sample_residuals_vectorised_matches_evaluate_loop():
     model = random_model(3, 5, rng, basis)
     oracle = SyntheticOracle(model)
     recover_known_n(oracle, basis, 5)
-    entries = [(p, v * (1 + 1e-6j)) for p, v in oracle.ledger.entries]
-    predicted, rel_err = sample_residuals(model, entries)
-    values = np.array([v for _, v in entries])
-    loop = np.array([evaluate(model, p) for p, _ in entries])
+    points, values = oracle.ledger.arrays()
+    values = values * (1 + 1e-6j)
+    predicted, rel_err = sample_residuals(model, points, values)
+    loop = np.array([evaluate(model, p) for p in points])
     np.testing.assert_allclose(predicted, loop, rtol=1e-12, atol=0)
     floor = 1e-12 * np.max(np.abs(values))
     np.testing.assert_allclose(
@@ -371,18 +371,18 @@ def test_sample_residuals_vectorised_matches_evaluate_loop():
 
 def test_sample_residuals_empty_ledger_and_all_zero_samples():
     model = ExponentialModel(2, (Term(1.0, (0.1, -0.2)),))
-    predicted, rel_err = sample_residuals(model, [])
+    predicted, rel_err = sample_residuals(model, [], [])
     assert predicted.shape == rel_err.shape == (0,)
     assert rel_err.max(initial=0.0) == 0.0
-    zeros = [((0.0, 0.0), 0j), ((1.0, 0.0), 0j)]
+    zeros = ([(0.0, 0.0), (1.0, 0.0)], [0j, 0j])
     # every sample is zero, so the floor is 1 and the errors are absolute
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        predicted, rel_err = sample_residuals(model, zeros)
+        predicted, rel_err = sample_residuals(model, *zeros)
     assert np.all(np.isfinite(rel_err))
     assert rel_err.tolist() == np.abs(predicted).tolist()
     zero_model = ExponentialModel(2, (Term(0.0, (0.1, -0.2)),))
-    assert sample_residuals(zero_model, zeros)[1].tolist() == [0.0, 0.0]
+    assert sample_residuals(zero_model, *zeros)[1].tolist() == [0.0, 0.0]
 
 
 def test_pairing_invariant_under_node_permutation():

@@ -207,6 +207,40 @@ def test_sample_many_matches_a_loop_of_sample(kind):
     assert np.all(np.abs(values - expected) <= 1e-13 * np.abs(expected))
 
 
+@pytest.mark.parametrize("kind", ["synthetic", "noisy", "tabulated"])
+def test_ledger_arrays_match_the_entries_view(kind):
+    model = reference_model()
+    points = np.array([[0.01 * s, -0.003 * s + 0.1] for s in range(7)])
+    oracle = _source(kind, model, points)
+    oracle.sample_many(points[:4])
+    oracle.sample(points[4])
+    oracle.sample_many(points[5:])
+    entries = oracle.ledger.entries
+    for start in (0, 3, 7):
+        got_points, got_values = oracle.ledger.arrays(start)
+        want_points = np.array([p for p, _ in entries[start:]]).reshape(-1, 2)
+        want_values = np.array([v for _, v in entries[start:]], dtype=complex)
+        assert got_points.shape == want_points.shape
+        assert got_points.tobytes() == want_points.tobytes()
+        assert got_values.tobytes() == want_values.tobytes()
+        assert oracle.ledger.since(start) == entries[start:]
+
+
+def test_ledger_arrays_are_read_only():
+    oracle = SyntheticOracle(reference_model())
+    values = oracle.sample_many(np.array([[0.0, 0.1], [0.2, 0.3]]))
+    oracle.sample([0.4, 0.5])
+    before = oracle.ledger.entries
+    values[0] = 99.0  # the caller's copy, not the ledger's
+    for start in (0, 2):
+        points, values = oracle.ledger.arrays(start)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
+    assert oracle.ledger.entries == before
+
+
 @pytest.mark.parametrize("relative", [False, True])
 def test_noisy_batch_repeats_the_per_point_noise_stream(relative):
     # one (m, 2) draw must give what m draws of standard_normal(2) gave,

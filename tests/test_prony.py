@@ -1,21 +1,24 @@
 """Univariate engine: sparsity detection, node fits, logs, coefficients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from expsum import (
     EquidistantSequence,
     InvalidNodeError,
+    RankDeficiencyError,
     RankMismatchError,
     SparsityUndetectedError,
     SyntheticOracle,
     detect_sparsity,
     fit_coefficients,
     fit_nodes,
-    fit_sequence,
     take_logs,
 )
 from expsum.oracle import SequenceStream
+from expsum.prony import ConditioningWarning
 
 from helpers import reference_model, scenario_two_basis
 
@@ -170,6 +173,28 @@ def test_fit_coefficients_square_mode_matches_least_squares_on_exact_data():
         assert np.allclose(sq, coeffs, rtol=1e-8)
 
 
+def _near_collision(eps):
+    logs = np.array([0.1j, 0.1j + eps, -0.3j])
+    return logs, _planted_sequence(logs, [1.0, 2.0, 3.0], 6)
+
+
+def test_fit_coefficients_conditioning_warning():
+    # least_squares stops at rcond 1e-8, so the warning (above 1e12) only
+    # comes right before the rank error; square_k solves up to ~4.5e12
+    logs, seq = _near_collision(1e-12)
+    with pytest.warns(ConditioningWarning):
+        with pytest.raises(RankDeficiencyError):
+            fit_coefficients(logs, seq, mode="least_squares")
+    logs, seq = _near_collision(1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        with pytest.raises(RankDeficiencyError):
+            fit_coefficients(logs, seq, mode="least_squares")
+        logs, seq = _near_collision(1e-10)
+        coeffs = fit_coefficients(logs, seq, mode="square_k")
+    assert np.all(np.isfinite(coeffs))
+
+
 def test_fit_coefficients_reference_alpha1():
     oracle = SyntheticOracle(reference_model())
     stream = SequenceStream(oracle, np.zeros(2), np.array([0.01, 0.01]))
@@ -204,10 +229,11 @@ def test_roundtrip_random_admissible_models():
         moduli = np.exp(rng.uniform(np.log(0.1), np.log(10), n))
         coeffs = moduli * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         seq = _planted_sequence(logs, coeffs, 2 * n)
-        fit = fit_sequence(seq, n)
-        order_got = np.argsort(np.asarray(fit.logs).imag)
+        fit_logs = take_logs(fit_nodes(seq, n))
+        fit_coeffs = fit_coefficients(fit_logs, seq)
+        order_got = np.argsort(fit_logs.imag)
         order_want = np.argsort(logs.imag)
-        got_logs = np.asarray(fit.logs)[order_got]
-        got_coeffs = np.asarray(fit.coefficients)[order_got]
+        got_logs = fit_logs[order_got]
+        got_coeffs = fit_coeffs[order_got]
         assert np.allclose(got_logs, logs[order_want], atol=1e-6)
         assert np.allclose(got_coeffs, coeffs[order_want], rtol=1e-6, atol=1e-8)
