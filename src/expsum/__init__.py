@@ -66,7 +66,6 @@ from .oracle import (
     plan_points,
 )
 from .prony import (
-    EquidistantSequence,
     detect_sparsity,
     fit_coefficients,
     fit_nodes,

@@ -1,4 +1,5 @@
-"""Sample-budget arithmetic shared by the oracle planner and the drivers."""
+"""Sample budgets and sample-point geometry shared by the planner and the
+drivers."""
 
 from __future__ import annotations
 
@@ -20,41 +21,55 @@ def budget_bound(d: int, n: int, constant: int = BUDGET_CONSTANT) -> int:
     return constant * (d + 1) * worst
 
 
+def line_points(origin, step, start: int, stop: int) -> np.ndarray:
+    """Points origin + s * step for s = start .. stop - 1, one row each.
+
+    The origin is added even when it is zero: s * step alone would record
+    -0.0 at s = 0 for a negative component of step, and the ledger bytes
+    would differ between the planner and the drivers.
+    """
+    return origin + np.arange(start, stop)[:, None] * step
+
+
+def known_n_points(basis, n: int):
+    """The (d+1) n points of a fixed-budget run: 2 n base points 0 + s
+    delta_0, then per level i = 1 .. d-1 the n points kappa delta_0 +
+    delta_i.  Returns ``(base (2n, d), kappas (d-1, n), shifts (d-1, n, d))``.
+    """
+    d = basis.dimension
+    kappas = np.reshape([basis.multipliers_for(i, n) for i in range(1, d)],
+                        (d - 1, n))
+    shifts = kappas[..., None] * basis.direction(0) + basis.matrix()[1:, None]
+    return line_points(np.zeros(d), basis.direction(0), 0, 2 * n), kappas, shifts
+
+
+def level_points(basis, level: int, weights, kappas, steps) -> np.ndarray:
+    """Points kappa sum_m w_m delta_m + s delta_level of an adaptive level,
+    shift steps s outer and multipliers kappa inner, one row each."""
+    accumulated = np.zeros(basis.dimension)
+    for m, w in enumerate(weights):
+        accumulated = accumulated + w * basis.direction(m)
+    grid = (kappas[:, None] * accumulated
+            + np.reshape(steps, (-1, 1, 1)) * basis.direction(level))
+    return grid.reshape(-1, basis.dimension)
+
+
 def unknown_n_plan(basis, n_hint: int):
     """Deterministic superset of the points an adaptive run may request.
 
     Enumerates the default schedules (base direction, then each level's
     accumulated-direction grid, advancing s across levels round-robin) and
     pads by extending the same grids until exactly ``budget_bound(d,
-    n_hint)`` points are listed.
+    n_hint)`` points are listed; a univariate plan is the base line alone.
     """
     d = basis.dimension
     cap = budget_bound(d, n_hint)
-    base = basis.direction(0)
-
-    def level_point(i, kappa, s):
-        weights = basis.weights_for(i)
-        accumulated = np.zeros(d)
-        for m, w in enumerate(weights):
-            accumulated = accumulated + w * basis.direction(m)
-        return kappa * accumulated + s * basis.direction(i)
-
-    points = [s * base for s in range(2 * n_hint + 1)]
-    schedules = []
-    for i in range(1, d):
-        kappas = basis.multipliers_for(i, n_hint)
-        schedules.append((i, kappas))
+    base_count = cap if d == 1 else 2 * n_hint + 1
+    points = list(line_points(np.zeros(d), basis.direction(0), 0, base_count))
     s = 0
     while len(points) < cap:
         s += 1
-        advanced = False
-        for i, kappas in schedules:
-            for kappa in kappas:
-                if len(points) >= cap:
-                    return points
-                points.append(level_point(i, kappa, s))
-                advanced = True
-        if not advanced:
-            # univariate: keep extending the base grid
-            points.append((2 * n_hint + s) * base)
-    return points
+        for i in range(1, d):
+            points.extend(level_points(basis, i, basis.weights_for(i),
+                                       basis.multipliers_for(i, n_hint), [s]))
+    return points[:cap]

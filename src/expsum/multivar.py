@@ -16,12 +16,13 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import linalg
-from ._schedule import BUDGET_CONSTANT, budget_bound
+from ._schedule import (BUDGET_CONSTANT, budget_bound, known_n_points,
+                        level_points)
 from .errors import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -110,6 +111,11 @@ class RecoveryConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise InputError(f"{name} must be positive, got {value}")
+        if self.level_condition_limit * linalg.SINGULAR_RTOL >= 1.0:
+            raise InputError(
+                "level_condition_limit must be below 1 / SINGULAR_RTOL = "
+                f"{1 / linalg.SINGULAR_RTOL:.3e}, got {self.level_condition_limit}"
+            )
         if self.merge_tol < 0:
             raise InputError("merge_tol must be >= 0")
         if self.max_terms < 1:
@@ -126,22 +132,7 @@ class RecoveryConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "rank_rel_tol": self.rank_rel_tol,
-            "gap_factor": self.gap_factor,
-            "node_tol": self.node_tol,
-            "collision_rel_tol": self.collision_rel_tol,
-            "merge_tol": self.merge_tol,
-            "max_terms": self.max_terms,
-            "budget_cap": self.budget_cap,
-            "node_method": self.node_method,
-            "coefficient_mode": self.coefficient_mode,
-            "rescue_k_max": self.rescue_k_max,
-            "rescue_epsilon_scale": self.rescue_epsilon_scale,
-            "seed": self.seed,
-            "max_level_retries": self.max_level_retries,
-            "level_condition_limit": self.level_condition_limit,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RecoveryConfig":
@@ -156,11 +147,8 @@ class RecoveryConfig:
 class PileState:
     """A group of terms indistinguishable up to the current level."""
 
-    level: int
-    pile_index: int
     inner_products: tuple[complex, ...]
     coefficient_sum: complex
-    member_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -169,13 +157,11 @@ class LevelState:
 
     ``split_ranks`` holds the detected rank of each pile that was processed
     at this level (empty at level 0, where piles are created rather than
-    split).  ``omegas`` are the accumulated inner products that served as
-    node logarithms for this level's shift systems.
+    split).
     """
 
     level: int
     pile_count: int
-    omegas: tuple[complex, ...]
     piles: tuple[PileState, ...]
     split_ranks: tuple[int, ...] = ()
 
@@ -214,7 +200,6 @@ class RecoveryReport:
                                 p.coefficient_sum.real,
                                 p.coefficient_sum.imag,
                             ],
-                            "member_count": p.member_count,
                         }
                         for p in lv.piles
                     ],
@@ -474,6 +459,33 @@ class _BudgetedOracle:
         return self.oracle.sample_many(points)
 
 
+def _model(exponents, coefficients, config) -> ExponentialModel:
+    """Canonical model of the terms pairing each coefficient with its row of
+    the (terms, d) ``exponents`` array."""
+    terms = tuple(map(Term, coefficients, exponents.tolist()))
+    return canonicalize(
+        ExponentialModel(exponents.shape[1], terms), merge_tol=config.merge_tol
+    )
+
+
+def _report(model, points, values, levels, decisions, warnings, alphas, f0):
+    """The report of a run that drew the samples ``values`` at ``points``;
+    the base coefficients ``alphas`` should sum to the first sample ``f0``."""
+    residuals = sample_residuals(model, points, values)[1]
+    return RecoveryReport(
+        model=model,
+        samples_used=len(values),
+        per_level=tuple(levels),
+        rank_confidences=tuple(decisions),
+        warnings=tuple(warnings),
+        detected_n=model.n_terms,
+        conservation_rel_err=float(
+            abs(np.sum(alphas) - f0) / max(abs(f0), 1e-300)
+        ),
+        max_residual_rel=float(residuals.max(initial=0.0)),
+    )
+
+
 def recover_known_n(
     oracle: Oracle,
     basis: DirectionBasis,
@@ -494,11 +506,8 @@ def recover_known_n(
     _check_oracle(oracle, basis)
     d = basis.dimension
     start = oracle.ledger.count
-
-    base = SequenceStream(oracle, np.zeros(d), basis.direction(0))
-    base.ensure(2 * n)
-    seq = base.sequence()
-    values = seq.array()
+    base_points, kappas, shift_points = known_n_points(basis, n)
+    values = oracle.sample_many(base_points)
 
     decision = linalg.numerical_rank(
         linalg.hankel(values, n, n), config.collision_rel_tol, config.gap_factor
@@ -511,7 +520,7 @@ def recover_known_n(
         )
 
     try:
-        nodes = fit_nodes(seq, n, config.node_method, decision.singular_values)
+        nodes = fit_nodes(values, n, config.node_method, decision.singular_values)
     except RankMismatchError as exc:
         raise CollisionDetectedError(
             f"node fit failed at rank {n} ({exc}); use recover_unknown_n",
@@ -528,7 +537,7 @@ def recover_known_n(
             )
     logs = take_logs(nodes)
     logs = logs[_node_sort_order(logs)]
-    alphas = fit_coefficients(logs, seq, mode=config.coefficient_mode)
+    alphas = fit_coefficients(logs, values, mode=config.coefficient_mode)
     magnitudes = np.abs(alphas)
     if d > 1 and np.any(magnitudes < CANCELLATION_RTOL * magnitudes.max()):
         raise CancellationSuspectedError(
@@ -541,54 +550,26 @@ def recover_known_n(
     if d > 1:
         # every level's system is checked before any of the (d-1) n shift
         # points is drawn; the points go out in one batch, level 1 first
-        kappas = np.reshape([basis.multipliers_for(i, n) for i in range(1, d)],
-                            (d - 1, n))
         matrices = _shift_matrices(logs, kappas)
-        points = kappas[..., None] * basis.direction(0) + basis.matrix()[1:, None]
-        shift_values = oracle.sample_many(points.reshape(-1, d))
+        shift_values = oracle.sample_many(shift_points.reshape(-1, d))
         aggregates = np.linalg.solve(matrices, shift_values.reshape(d - 1, n, 1))
         inner = np.vstack([inner, take_logs(aggregates[..., 0] / alphas)])
-    omegas = tuple(logs.tolist())
     coefficients = alphas.tolist()
     rows = inner.T.tolist()
     levels = [
         LevelState(
             level=i,
             pile_count=n,
-            omegas=omegas,
             piles=tuple(
-                PileState(i, j, tuple(row[: i + 1]), coefficients[j], 1)
+                PileState(tuple(row[: i + 1]), coefficients[j])
                 for j, row in enumerate(rows)
             ),
         )
         for i in range(d)
     ]
-
-    phis = assemble_exponents(inner.T, basis)
-    model = canonicalize(
-        ExponentialModel(d, tuple(map(Term, coefficients, phis.tolist()))),
-        merge_tol=config.merge_tol,
-    )
-
-    f0 = values[0]
-    conservation = abs(np.sum(alphas) - f0) / max(abs(f0), 1e-300)
-    residuals = sample_residuals(model, *oracle.ledger.arrays(start))[1]
-    return RecoveryReport(
-        model=model,
-        samples_used=oracle.ledger.count - start,
-        per_level=tuple(levels),
-        rank_confidences=(decision,),
-        warnings=(),
-        detected_n=model.n_terms,
-        conservation_rel_err=float(conservation),
-        max_residual_rel=float(residuals.max(initial=0.0)),
-    )
-
-
-@dataclass
-class _Pile:
-    inner: tuple[complex, ...]
-    coeff: complex
+    model = _model(assemble_exponents(inner.T, basis), coefficients, config)
+    return _report(model, *oracle.ledger.arrays(start), levels, (decision,),
+                   (), alphas, values[0])
 
 
 def recover_unknown_n(
@@ -641,13 +622,13 @@ def recover_unknown_n(
             fit_stream = rescue_stream
 
     fit_stream.ensure(2 * nu)
-    nodes = fit_nodes(fit_stream.sequence(), nu, config.node_method)
+    nodes = fit_nodes(fit_stream.values, nu, config.node_method)
     logs = take_logs(nodes)
 
     # pile coefficient sums always come from the unshifted base line
     base.ensure(2 * nu)
     coeff_sums = fit_coefficients(
-        logs, base.sequence(), mode=config.coefficient_mode
+        logs, base.values, mode=config.coefficient_mode
     )
     logs, coeff_sums, merged = _merge_close_nodes(
         logs, coeff_sums, config.node_tol
@@ -660,31 +641,23 @@ def recover_unknown_n(
 
     order = _node_sort_order(logs)
     piles = [
-        _Pile((complex(logs[j]),), complex(coeff_sums[j])) for j in order
+        PileState((complex(logs[j]),), complex(coeff_sums[j])) for j in order
     ]
-    f0 = base.values[0]
-    conservation = abs(np.sum(coeff_sums) - f0) / max(abs(f0), 1e-300)
     levels.append(
-        LevelState(
-            level=0,
-            pile_count=len(piles),
-            omegas=tuple(p.inner[0] for p in piles),
-            piles=tuple(
-                PileState(0, j, p.inner, p.coeff) for j, p in enumerate(piles)
-            ),
-        )
+        LevelState(level=0, pile_count=len(piles), piles=tuple(piles))
     )
 
     for i in range(1, d):
         nu_prev = len(piles)
-        shift = basis.direction(i)
         kappas = basis.multipliers_for(i, nu_prev)
         weights = basis.weights_for(i)
         matrix = None
         for attempt in range(config.max_level_retries + 1):
             omegas = np.array(
                 [
-                    np.sum([w * p.inner[m] for m, w in enumerate(weights)])
+                    np.sum(
+                        [w * p.inner_products[m] for m, w in enumerate(weights)]
+                    )
                     for p in piles
                 ],
                 dtype=complex,
@@ -692,12 +665,9 @@ def recover_unknown_n(
             candidate = linalg.vandermonde(omegas, kappas)
             cond = linalg.condition_estimate(candidate)
             if cond <= config.level_condition_limit:
-                # the solves below trust this SVD's singularity verdict
-                if cond * linalg.SINGULAR_RTOL >= 1.0:
-                    raise SingularMatrixError(
-                        f"level {i} shift system is singular to working "
-                        f"tolerance (condition estimate {cond:.3e})"
-                    )
+                # RecoveryConfig keeps the limit below 1 / SINGULAR_RTOL, so
+                # an accepted matrix is not singular to working tolerance
+                # and the solves below can trust this SVD's verdict
                 matrix = candidate
                 break
             if attempt % 2 == 0:
@@ -712,13 +682,9 @@ def recover_unknown_n(
                 f"level {i} shift system stayed singular after "
                 f"{config.max_level_retries} retries"
             )
-        accumulated = np.zeros(d)
-        for m, w in enumerate(weights):
-            accumulated = accumulated + w * basis.direction(m)
-        column_base = kappas[:, None] * accumulated
 
         # row j: pile j's sequence, one column per shift step s
-        sequences = np.array([[p.coeff] for p in piles], dtype=complex)
+        sequences = np.array([[p.coefficient_sum] for p in piles])
         certified = [False] * nu_prev
         ranks = [0] * nu_prev
         fallbacks: list[RankDecision | None] = [None] * nu_prev
@@ -745,9 +711,9 @@ def recover_unknown_n(
                     )
                 break
             # shift steps 2m-1 and 2m: one charge, one draw, one solve
-            steps = np.arange(2 * m_size - 1, 2 * m_size + 1)[:, None, None]
+            steps = [2 * m_size - 1, 2 * m_size]
             values = budgeted.sample_many(
-                (column_base + steps * shift).reshape(-1, d)
+                level_points(basis, i, weights, kappas, steps)
             )
             solved = np.linalg.solve(matrix, values.reshape(2, nu_prev).T)
             sequences = np.hstack([sequences, solved])
@@ -796,7 +762,7 @@ def recover_unknown_n(
                     else:
                         fallbacks[j] = pile_decision
 
-        new_piles: list[_Pile] = []
+        new_piles: list[PileState] = []
         for j, pile in enumerate(piles):
             r = ranks[j]
             seq = sequences[j]
@@ -821,34 +787,28 @@ def recover_unknown_n(
                     f"pile {j} at level {i}: coincident sub-nodes merged"
                 )
             for w, a in zip(sub_logs, sub_coeffs):
-                new_piles.append(_Pile(pile.inner + (complex(w),), complex(a)))
+                new_piles.append(
+                    PileState(pile.inner_products + (complex(w),), complex(a))
+                )
         new_piles.sort(
-            key=lambda p: tuple(x for z in p.inner for x in (z.real, z.imag))
+            key=lambda p: tuple(
+                x for z in p.inner_products for x in (z.real, z.imag)
+            )
         )
         piles = new_piles
         levels.append(
             LevelState(
                 level=i,
                 pile_count=len(piles),
-                omegas=tuple(complex(o) for o in omegas),
-                piles=tuple(
-                    PileState(i, j, p.inner, p.coeff)
-                    for j, p in enumerate(piles)
-                ),
+                piles=tuple(piles),
                 split_ranks=tuple(ranks),
             )
         )
 
-    log_rows = np.array([p.inner for p in piles], dtype=complex)
-    phis = assemble_exponents(log_rows, basis)
-    provisional = canonicalize(
-        ExponentialModel(
-            d,
-            tuple(
-                Term(p.coeff, tuple(phis[j])) for j, p in enumerate(piles)
-            ),
-        ),
-        merge_tol=config.merge_tol,
+    provisional = _model(
+        assemble_exponents([p.inner_products for p in piles], basis),
+        [p.coefficient_sum for p in piles],
+        config,
     )
 
     # final coefficients: least squares over every sample this run consumed
@@ -858,16 +818,7 @@ def recover_unknown_n(
         final_alphas = linalg.solve_least_squares(
             design, observed, rcond=config.rank_rel_tol
         )
-        model = canonicalize(
-            ExponentialModel(
-                d,
-                tuple(
-                    Term(complex(a), t.exponent)
-                    for a, t in zip(final_alphas, provisional.terms)
-                ),
-            ),
-            merge_tol=config.merge_tol,
-        )
+        model = _model(provisional.exponent_matrix(), final_alphas, config)
     except RankDeficiencyError:
         warnings.append(
             "final coefficient refit was rank deficient; keeping the "
@@ -875,18 +826,8 @@ def recover_unknown_n(
         )
         model = provisional
 
-    return RecoveryReport(
-        model=model,
-        samples_used=budgeted.spent,
-        per_level=tuple(levels),
-        rank_confidences=tuple(rank_decisions),
-        warnings=tuple(warnings),
-        detected_n=model.n_terms,
-        conservation_rel_err=float(conservation),
-        max_residual_rel=float(
-            sample_residuals(model, points, observed)[1].max(initial=0.0)
-        ),
-    )
+    return _report(model, points, observed, levels, rank_decisions, warnings,
+                   coeff_sums, base.values[0])
 
 
 def _redraw_multipliers(rng, count: int) -> np.ndarray:

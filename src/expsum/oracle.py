@@ -11,11 +11,10 @@ import math
 
 import numpy as np
 
-from ._schedule import unknown_n_plan
+from ._schedule import known_n_points, line_points, unknown_n_plan
 from .errors import DimensionMismatchError, InputError, MissingSampleError
 # ``evaluate`` is unused here; bench/tracer.py wraps ``oracle.evaluate`` by name
 from .model import DirectionBasis, ExponentialModel, evaluate, exp_matrix
-from .prony import EquidistantSequence
 
 QUANTIZE_DIGITS = 12
 MATCH_TOL = 1e-9
@@ -206,16 +205,9 @@ class SequenceStream:
 
     def ensure(self, count: int) -> None:
         """Draw every missing index below ``count`` in one batch."""
-        s = np.arange(len(self.values), count)[:, None]
-        if len(s):
-            self.values.extend(
-                self.oracle.sample_many(self.origin + s * self.step).tolist()
-            )
-
-    def sequence(self) -> EquidistantSequence:
-        return EquidistantSequence(
-            tuple(self.values), tuple(self.step), tuple(self.origin)
-        )
+        if count > len(self.values):
+            points = line_points(self.origin, self.step, len(self.values), count)
+            self.values.extend(self.oracle.sample_many(points).tolist())
 
 
 def plan_points(basis: DirectionBasis, n_hint: int, mode: str = "known_n"):
@@ -228,15 +220,9 @@ def plan_points(basis: DirectionBasis, n_hint: int, mode: str = "known_n"):
     """
     if n_hint < 1:
         raise InputError("n_hint must be >= 1")
-    d = basis.dimension
-    base = basis.direction(0)
     if mode == "known_n":
-        points = [s * base for s in range(2 * n_hint)]
-        for i in range(1, d):
-            kappas = basis.multipliers_for(i, n_hint)
-            shift = basis.direction(i)
-            points.extend(k * base + shift for k in kappas)
-        return points
+        base, _, shifts = known_n_points(basis, n_hint)
+        return [*base, *shifts.reshape(-1, basis.dimension)]
     if mode == "unknown_n_worst_case":
         return unknown_n_plan(basis, n_hint)
     raise InputError(f"unknown planning mode: {mode!r}")

@@ -9,7 +9,6 @@ exponential Vandermonde systems.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,34 +35,6 @@ CONDITIONING_LIMIT = 1e12
 
 class ConditioningWarning(UserWarning):
     """A coefficient system was solvable but poorly conditioned."""
-
-
-@dataclass(frozen=True)
-class EquidistantSequence:
-    """Samples F_0, F_1, ... taken at origin + s * step_direction."""
-
-    values: tuple[complex, ...]
-    step_direction: tuple[float, ...]
-    origin: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(complex(v) for v in self.values)
-        )
-        object.__setattr__(
-            self, "step_direction", tuple(float(x) for x in self.step_direction)
-        )
-        object.__setattr__(
-            self, "origin", tuple(float(x) for x in self.origin)
-        )
-        if not self.values:
-            raise InputError("sequence must contain at least one value")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
 
 
 def detect_sparsity(
@@ -108,12 +79,13 @@ def detect_sparsity(
 
 
 def fit_nodes(
-    sequence: EquidistantSequence,
+    values,
     nu: int,
     method: str = "generalized_eig",
     singular_values=None,
 ) -> np.ndarray:
-    """Extract the nu nodes exp(Phi_j) from >= 2 nu equidistant samples.
+    """Extract the nu nodes exp(Phi_j) from >= 2 nu equidistant samples
+    ``values`` = F_0, F_1, ...
 
     ``generalized_eig`` solves the shifted-vs-unshifted Hankel pencil;
     ``hankel_polynomial`` solves the Hankel system for the monic polynomial
@@ -123,7 +95,7 @@ def fit_nodes(
     """
     if nu < 1:
         raise InputError("nu must be >= 1")
-    values = sequence.array()
+    values = _samples(values)
     if len(values) < 2 * nu:
         raise InputError(
             f"need at least {2 * nu} samples to fit {nu} nodes, "
@@ -156,6 +128,13 @@ def fit_nodes(
     raise InputError(f"unknown node-fit method: {method!r}")
 
 
+def _samples(values) -> np.ndarray:
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 1 or values.size == 0:
+        raise InputError("samples must be a non-empty 1-D sequence")
+    return values
+
+
 def take_logs(nodes) -> np.ndarray:
     """Principal-branch logarithm of each node, Im in (-pi, pi].
 
@@ -170,11 +149,12 @@ def take_logs(nodes) -> np.ndarray:
 
 def fit_coefficients(
     logs,
-    sequence: EquidistantSequence,
+    values,
     mode: str = "least_squares",
     k: int = 0,
 ) -> np.ndarray:
-    """Solve for the linear coefficients given the node logarithms.
+    """Solve for the linear coefficients of equidistant samples ``values``
+    = F_0, F_1, ... given the node logarithms.
 
     ``least_squares`` uses all available samples (recommended for noisy
     data); ``square_k`` solves the nu x nu system built from samples
@@ -184,7 +164,7 @@ def fit_coefficients(
     """
     lg = np.asarray(logs, dtype=complex)
     nu = lg.size
-    values = sequence.array()
+    values = _samples(values)
     if mode == "least_squares":
         if len(values) < nu:
             raise InputError(

@@ -1,62 +1,23 @@
 """Shared test utilities: the bundled reference instance and model comparison."""
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from expsum import DirectionBasis, ExponentialModel, Term, canonicalize
-
-TP = 2 * np.pi
-
-
-def reference_model() -> ExponentialModel:
-    """The bundled 4-term bivariate demonstration model."""
-    return ExponentialModel(
-        2,
-        (
-            Term(1.7 * np.exp(1j * TP / 10), (-0.5, 1 + 1j * TP * 0.5)),
-            Term(
-                1.1 * np.exp(1j * TP / 20),
-                (0.1 + 1j * TP * 3.4, 1.5 + 1j * TP * 5.2),
-            ),
-            Term(0.9, (0.1 + 1j * TP * 3.4, -0.5 + 1j * TP * 12.6)),
-            Term(
-                9.2 * np.exp(1j * TP / 2),
-                (-2.5 + 1j * TP * 23.2, -10 + 1j * TP * 82.3),
-            ),
-        ),
-    )
-
-
-def scenario_one_basis() -> DirectionBasis:
-    return DirectionBasis(2, ((0.01, 0.01), (-0.01, 0.01)))
-
-
-def scenario_two_basis() -> DirectionBasis:
-    return DirectionBasis(2, ((0.03, 0.0), (0.0, 0.01)))
+from expsum.cli import verify_models
+from expsum.demo import demo_model as reference_model
+from expsum.demo import scenario_one_basis, scenario_two_basis
 
 
 def model_error(model_a: ExponentialModel, model_b: ExponentialModel) -> float:
-    """Worst relative error between optimally matched terms of two models.
-
-    Terms are paired by optimal assignment on the exponent-vector distance
-    matrix; the reported error is the maximum over exponent-vector errors
-    (relative to the exponent norm) and coefficient errors.
-    """
-    a = canonicalize(model_a)
-    b = canonicalize(model_b)
-    assert a.dimension == b.dimension
-    if a.n_terms != b.n_terms:
+    """Worst relative error between optimally matched terms of two models,
+    over exponent vectors (relative to the exponent norm) and coefficients,
+    as :func:`expsum.cli.verify_models` measures it; inf when the term
+    counts differ."""
+    result = verify_models(model_a, model_b, tol=0.0)
+    if result["terms_a"] != result["terms_b"]:
         return float("inf")
-    ea, eb = a.exponent_matrix(), b.exponent_matrix()
-    cost = np.linalg.norm(ea[:, None, :] - eb[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    ca, cb = a.coefficients(), b.coefficients()
-    worst = 0.0
-    for r, c in zip(rows, cols):
-        scale = max(float(np.linalg.norm(ea[r])), 1e-12)
-        worst = max(worst, float(cost[r, c]) / scale)
-        worst = max(worst, abs(ca[r] - cb[c]) / max(abs(ca[r]), 1e-12))
-    return worst
+    return max(result["max_exponent_rel_err"],
+               result["max_coefficient_rel_err"])
 
 
 def fold_to_principal(model: ExponentialModel, basis: DirectionBasis) -> ExponentialModel:

@@ -28,7 +28,6 @@ from expsum import (
     recover_unknown_n,
 )
 from expsum.oracle import SequenceStream
-from expsum.prony import EquidistantSequence
 from expsum.synth import cancellation_instance, collision_instance, random_basis, random_model
 
 from helpers import (
@@ -413,9 +412,8 @@ def test_criterion_6_kernel_oracle_equivalence(acceptance_log):
                 values[idx[:, None] + idx[None, :]]
             ) <= 3e3:
                 break
-        seq = EquidistantSequence(tuple(values), (1.0,), (0.0,))
-        eig_nodes = fit_nodes(seq, n, "generalized_eig")
-        poly_nodes = fit_nodes(seq, n, "hankel_polynomial")
+        eig_nodes = fit_nodes(values, n, "generalized_eig")
+        poly_nodes = fit_nodes(values, n, "hankel_polynomial")
         worst_method_gap = max(
             worst_method_gap, _set_match_error(eig_nodes, poly_nodes)
         )

@@ -41,7 +41,7 @@ from expsum.synth import (
     random_model,
 )
 
-from helpers import reference_model, scenario_two_basis
+from helpers import model_error, reference_model, scenario_two_basis
 
 
 def ledger_points(oracle) -> np.ndarray:
@@ -113,7 +113,8 @@ def test_known_n_base_points_have_no_negative_zero():
     points, _ = oracle.ledger.arrays()
     assert points[0].tolist() == [0.0, 0.0]
     assert not np.any(np.signbit(points[0]))
-    assert np.array_equal(points, np.array(plan_points(basis, 3)))
+    # byte for byte: np.array_equal would not see the sign of a zero
+    assert np.array(plan_points(basis, 3)).tobytes() == points.tobytes()
 
 
 def test_stacked_shift_solve_matches_per_level_solves():
@@ -237,8 +238,13 @@ def test_known_n_missing_level_two_point_records_no_shift_sample():
 
 
 def test_unknown_n_singular_level_matrix_raises_under_a_huge_limit():
+    # a limit at or above 1 / SINGULAR_RTOL would accept a matrix that is
+    # singular to working precision, so the config refuses it up front
+    with pytest.raises(InputError, match="level_condition_limit"):
+        RecoveryConfig(level_condition_limit=1e300)
     # level-0 and level-1 inner products swapped between two terms make the
-    # default accumulated direction at level 2 singular to working precision
+    # default accumulated direction at level 2 singular to working precision;
+    # a limit just below 1 / SINGULAR_RTOL still rejects it and retries
     basis = identity_basis(3)
     psi = np.array(
         [
@@ -251,11 +257,12 @@ def test_unknown_n_singular_level_matrix_raises_under_a_huge_limit():
         psi, basis, random_coefficients(3, np.random.default_rng(27))
     )
     oracle = SyntheticOracle(model)
-    config = RecoveryConfig(max_terms=6, level_condition_limit=1e300)
-    with pytest.raises(SingularMatrixError):
-        recover_unknown_n(oracle, basis, config)
-    # raised before level 2 drew its first pair of columns
-    assert oracle.ledger.count == 13
+    config = RecoveryConfig(max_terms=6, level_condition_limit=4.4e12)
+    report = recover_unknown_n(oracle, basis, config)
+    assert report.detected_n == 3
+    assert any("retry" in w for w in report.warnings)
+    assert report.samples_used == 19
+    assert model_error(report.model, model) < 1e-6
 
 
 def overflowing_model() -> ExponentialModel:

@@ -263,6 +263,22 @@ def test_recover_requires_exactly_one_source(tmp_path, capsys):
     assert json.loads(err)["error_class"] == "InputError"
 
 
+def test_recover_rejects_a_level_condition_limit_above_the_cap(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        [[1.0, 0.0], [0.0, 1.0]],
+        mode="unknown_n",
+        recovery={"level_condition_limit": 1e13},
+    )
+    code, _, err = run(
+        ["recover", "--config", cfg, "--model", tmp_path / "absent.json",
+         "--out", tmp_path / "run"],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    assert "level_condition_limit" in json.loads(err)["message"]
+
+
 def test_recover_overflowing_model_exits_with_input_error(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     ExponentialModel(

@@ -144,7 +144,7 @@ def test_solve_shift_system_reference_shift_log():
     oracle = SyntheticOracle(model)
     stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
     stream.ensure(8)
-    seq = stream.sequence()
+    seq = stream.values
     logs = take_logs(fit_nodes(seq, 4))
     alphas = fit_coefficients(logs, seq)
     kappas = np.arange(4.0)
@@ -392,7 +392,7 @@ def test_pairing_invariant_under_node_permutation():
     oracle = SyntheticOracle(model)
     stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
     stream.ensure(8)
-    seq = stream.sequence()
+    seq = stream.values
     logs = take_logs(fit_nodes(seq, 4))
     kappas = np.arange(4.0)
     shift_values = np.array(

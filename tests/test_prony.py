@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from expsum import (
-    EquidistantSequence,
+    InputError,
     InvalidNodeError,
     RankDeficiencyError,
     RankMismatchError,
@@ -23,18 +23,10 @@ from expsum.prony import ConditioningWarning
 from helpers import reference_model, scenario_two_basis
 
 
-def _sequence(values, step=(1.0,), origin=None):
-    if origin is None:
-        origin = tuple(0.0 for _ in step)
-    return EquidistantSequence(tuple(values), tuple(step), origin)
-
-
 def _planted_sequence(logs, coeffs, count):
     logs = np.asarray(logs, dtype=complex)
     coeffs = np.asarray(coeffs, dtype=complex)
-    return _sequence(
-        [coeffs @ np.exp(logs * s) for s in range(count)]
-    )
+    return np.array([coeffs @ np.exp(logs * s) for s in range(count)])
 
 
 class _CountingSupplier:
@@ -70,7 +62,7 @@ def test_detect_sparsity_random_four_term_model_consumes_nine_samples():
     logs = rng.standard_normal(4) * 0.2 + 1j * rng.uniform(-2, 2, 4)
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     seq = _planted_sequence(logs, coeffs, 16)
-    supplier = _CountingSupplier(seq.values)
+    supplier = _CountingSupplier(seq)
     decision = detect_sparsity(supplier, max_terms=7)
     assert decision.rank == 4
     assert decision.confident
@@ -83,12 +75,11 @@ def test_detect_sparsity_exhaustion_raises():
     coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     seq = _planted_sequence(logs, coeffs, 16)
     with pytest.raises(SparsityUndetectedError):
-        detect_sparsity(_CountingSupplier(seq.values), max_terms=3)
+        detect_sparsity(_CountingSupplier(seq), max_terms=3)
 
 
 def test_fit_nodes_single_term():
-    seq = _sequence([2.0, 2.0 * np.e, 2.0 * np.e**2])
-    nodes = fit_nodes(seq, 1)
+    nodes = fit_nodes([2.0, 2.0 * np.e, 2.0 * np.e**2], 1)
     assert np.allclose(nodes, [np.e])
 
 
@@ -96,7 +87,7 @@ def test_fit_nodes_reference_base_logs():
     oracle = SyntheticOracle(reference_model())
     stream = SequenceStream(oracle, np.zeros(2), np.array([0.01, 0.01]))
     stream.ensure(8)
-    nodes = fit_nodes(stream.sequence(), 4)
+    nodes = fit_nodes(stream.values, 4)
     logs = np.sort_complex(take_logs(nodes))
     expected = np.sort_complex(
         np.array(
@@ -131,6 +122,21 @@ def test_fit_nodes_wrong_nu_raises_rank_mismatch():
         fit_nodes(seq, 3, "hankel_polynomial")
 
 
+@pytest.mark.parametrize("values", [[], [1.0], np.ones((2, 2))])
+def test_fit_nodes_and_coefficients_reject_empty_short_or_2d_samples(values):
+    with pytest.raises(InputError):
+        fit_nodes(values, 1)
+    with pytest.raises(InputError):
+        fit_coefficients([0.1, 0.2], values)
+    with pytest.raises(InputError):
+        fit_coefficients([0.1, 0.2], values, mode="square_k")
+
+
+def test_fit_coefficients_rejects_empty_samples_without_logs():
+    with pytest.raises(InputError):
+        fit_coefficients([], [])
+
+
 def test_take_logs_unit_node():
     assert np.allclose(take_logs([1.0]), [0.0])
 
@@ -156,8 +162,7 @@ def test_take_logs_exp_roundtrip_inside_strip():
 
 
 def test_fit_coefficients_single_unit_node():
-    seq = _sequence([5.0, 5.0])
-    coeffs = fit_coefficients([0.0], seq)
+    coeffs = fit_coefficients([0.0], [5.0, 5.0])
     assert np.allclose(coeffs, [5.0])
 
 
@@ -199,7 +204,7 @@ def test_fit_coefficients_reference_alpha1():
     oracle = SyntheticOracle(reference_model())
     stream = SequenceStream(oracle, np.zeros(2), np.array([0.01, 0.01]))
     stream.ensure(8)
-    seq = stream.sequence()
+    seq = stream.values
     nodes = fit_nodes(seq, 4)
     logs = take_logs(nodes)
     coeffs = fit_coefficients(logs, seq)
