@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .demo import run_demo
 from .errors import ExpsumError, InputError
@@ -208,11 +207,11 @@ def cmd_recover(args) -> int:
     doc = report.to_dict()
     points, values = oracle.ledger.arrays()
     predicted, rel_err = sample_residuals(report.model, points, values)
+    pairs = lambda z: z.view(float).reshape(-1, 2).tolist()  # [re, im], same doubles
     doc["residuals"] = [
-        {"point": point, "value": [value.real, value.imag],
-         "model_value": [p.real, p.imag], "rel_err": r}
-        for point, value, p, r in zip(points.tolist(), values.tolist(),
-                                      predicted.tolist(), rel_err.tolist())
+        {"point": point, "value": value, "model_value": p, "rel_err": r}
+        for point, value, p, r in zip(points.tolist(), pairs(values),
+                                      pairs(predicted), rel_err.tolist())
     ]
     # no indent: json's fast C encoder only runs without one
     (out / "report.json").write_text(
@@ -233,6 +232,8 @@ def cmd_recover(args) -> int:
 def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
                   tol: float) -> dict:
     """Match terms by nearest exponent vector and report worst errors."""
+    # imported here: scipy.optimize costs about 0.25 s of every start-up
+    from scipy.optimize import linear_sum_assignment
     a = canonicalize(model_a)
     b = canonicalize(model_b)
     result = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InputError,
@@ -232,4 +231,6 @@ def generalized_eigenvalues(
         )
     if sv[0] / sv[-1] <= condition_switch:
         return np.linalg.eigvals(np.linalg.solve(bm, am))
+    # imported here: scipy.linalg costs about 0.3 s of every start-up
+    import scipy.linalg
     return scipy.linalg.eigvals(am, bm)

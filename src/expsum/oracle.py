@@ -150,8 +150,27 @@ class TabulatedOracle(Oracle):
         self._table: dict[tuple[float, ...], complex] = {}
 
     @staticmethod
-    def _key(point) -> tuple[float, ...]:
-        return tuple(round(float(x), QUANTIZE_DIGITS) for x in point)
+    def _keys(points: np.ndarray) -> list[tuple[float, ...]]:
+        """Row keys of an (m, d) array rounded to 12 decimals (-0.0 is +0.0). From
+        2**53 / 10**12 on, np.round would move or overflow what rounding keeps."""
+        small = np.abs(points) < 2.0**53 / 10**QUANTIZE_DIGITS
+        rounded = np.round(np.where(small, points, 0.0), QUANTIZE_DIGITS)
+        return list(map(tuple, np.where(small, rounded, points).tolist()))
+
+    def _insert(self, points: np.ndarray, values: list[complex],
+                path=None, lines=None) -> None:
+        """Store m rows in one pass; a repeated point must repeat its value to
+        within ``match_tol``.  A conflict names ``path`` and ``lines`` if given."""
+        keys = self._keys(points)
+        for i, (key, value) in enumerate(zip(keys, values)):
+            existing = self._table.get(key)
+            if existing is not None and abs(existing - value) > self.match_tol:
+                message = f"conflicting values for point {key}: {existing} vs {value}"
+                if path is not None:
+                    j = max(j for j in range(i) if keys[j] == key)
+                    message = f"{path}:{lines[i]}: {message} (first: line {lines[j]})"
+                raise InputError(message)
+            self._table[key] = value
 
     def add(self, point, value: complex) -> None:
         pt = np.asarray(point, dtype=float)
@@ -159,19 +178,9 @@ class TabulatedOracle(Oracle):
             raise DimensionMismatchError(
                 f"point has shape {pt.shape}, expected ({self.dimension},)"
             )
-        key = self._key(pt)
-        existing = self._table.get(key)
-        if existing is not None and abs(existing - complex(value)) > self.match_tol:
-            raise InputError(
-                f"conflicting values for point {key}: "
-                f"{existing} vs {complex(value)}"
-            )
-        self._table[key] = complex(value)
+        self._insert(pt[None], [complex(value)])
 
-    def _lookup(self, point: np.ndarray) -> complex:
-        hit = self._table.get(self._key(point))
-        if hit is not None:
-            return hit
+    def _scan(self, point: list[float]) -> complex:
         # quantization can split near-boundary keys; fall back to a scan
         for key, value in self._table.items():
             if max(abs(k - p) for k, p in zip(key, point)) <= self.match_tol:
@@ -179,14 +188,19 @@ class TabulatedOracle(Oracle):
         raise MissingSampleError(point, self.match_tol)
 
     def _values(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self._lookup(p) for p in points], dtype=complex)
+        values = list(map(self._table.get, self._keys(points)))
+        if None in values:
+            values = [self._scan(p) if v is None else v
+                      for p, v in zip(points.tolist(), values)]
+        return np.array(values, dtype=complex)
 
     @classmethod
     def from_file(cls, path) -> "TabulatedOracle":
-        dimension, rows = read_samples_file(path)
+        dimension, rows, lines = _read_table(path, 2, "samples")
         oracle = cls(dimension)
-        for point, value in rows:
-            oracle.add(point, value)
+        # the (re, im) column pairs viewed as complex: no rounding, signed zeros kept
+        values = rows[:, dimension:].copy().view(complex)[:, 0]
+        oracle._insert(rows[:, :dimension], values.tolist(), path, lines)
         return oracle
 
 
@@ -239,9 +253,9 @@ def write_samples_file(path, dimension: int, rows) -> None:
 
 def _read_table(path, extra: int, kind: str):
     """Parse a ``dim=<d>`` file whose rows hold d + ``extra`` finite numbers;
-    returns (dimension, [row, ...]).  Every defect is an :class:`InputError`
-    naming the file and line."""
-    rows = []
+    returns (dimension, (m, d + extra) float array, [line number per row]).
+    Every defect is an :class:`InputError` naming the file and line."""
+    rows, lines = [], []
     dimension = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -267,15 +281,16 @@ def _read_table(path, extra: int, kind: str):
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
             rows.append(row)
+            lines.append(lineno)
     if dimension is None:
         raise InputError(f"{path}: empty {kind} file")
-    return dimension, rows
+    return dimension, np.array(rows).reshape(-1, dimension + extra), lines
 
 
 def read_samples_file(path):
     """Parse a samples file; returns (dimension, [(point, value), ...])."""
-    d, rows = _read_table(path, 2, "samples")
-    return d, [(tuple(r[:d]), complex(r[d], r[d + 1])) for r in rows]
+    d, rows, _ = _read_table(path, 2, "samples")
+    return d, [(tuple(r[:d]), complex(r[d], r[d + 1])) for r in rows.tolist()]
 
 
 def write_points_file(path, dimension: int, points) -> None:
@@ -288,5 +303,5 @@ def write_points_file(path, dimension: int, points) -> None:
 
 def read_points_file(path):
     """Parse a planned-points file; returns (dimension, [point, ...])."""
-    d, rows = _read_table(path, 0, "points")
-    return d, [tuple(r) for r in rows]
+    d, rows, _ = _read_table(path, 0, "points")
+    return d, [tuple(r) for r in rows.tolist()]

@@ -192,6 +192,36 @@ def test_recover_rejects_non_numeric_samples(tmp_path, capsys, text, lineno):
     assert f"{samples_path}:{lineno}:" in payload["message"]
 
 
+def test_recover_rejects_a_conflicting_duplicate_row_by_file_and_lines(
+        tmp_path, capsys):
+    samples_path = tmp_path / "samples.txt"
+    samples_path.write_text("dim=1\n0.0 1.0 0.0\n0.5 2.0 0.0\n0.0 3.0 0.0\n")
+    code, _, err = run(
+        ["recover", "--samples", samples_path, "--known-n", 1,
+         "--out", tmp_path / "run"],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    payload = json.loads(err)
+    assert payload["error_class"] == "InputError"
+    assert payload["message"] == (
+        f"{samples_path}:4: conflicting values for point (0.0,): "
+        "(1+0j) vs (3+0j) (first: line 2)"
+    )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(expsum.__file__).resolve().parents[1])
+    code = ("import sys, expsum, expsum.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_report_json_is_report_dict_plus_residual_rows(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(

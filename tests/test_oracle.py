@@ -1,5 +1,8 @@
 """Sampling sources: ledger accounting, noise, tabulated files, planning."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +94,121 @@ def test_tabulated_oracle_hit_and_miss():
     with pytest.raises(MissingSampleError) as err:
         table.sample([0.1, 0.1])
     assert "0.1" in str(err.value)
+
+
+# Samples-table properties.  Grid points are at least 0.1 apart, so only the
+# point under test lies within match_tol of a query; coordinates stay within
+# +-100, where rounding to 12 decimals has ulps to spare.
+TABLE_GRID = (0.0, -0.0, 0.1, -0.1, 1 / 3, -2.5, 7.25, -99.9, 100.0)
+TABLE_VALUES = (1 + 0j, 1 + 5e-10j, 1j, -2.5 + 0.5j)
+
+
+def table_points(d, min_size=1, max_size=8):
+    point = st.tuples(*[st.sampled_from(TABLE_GRID)] * d)
+    return st.lists(point, min_size=min_size, max_size=max_size)
+
+
+def distinct(points):
+    """The points with -0.0 and +0.0 taken as one, in first-seen order."""
+    return list(dict.fromkeys(tuple(x + 0.0 for x in p) for p in points))
+
+
+def served(table, points):
+    """What the table serves at each point: its value, or None on a miss."""
+    out = []
+    for p in points:
+        try:
+            out.append(table.sample(p))
+        except MissingSampleError:
+            out.append(None)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_from_file_builds_the_table_add_builds(tmp_path_factory, d, data):
+    points = data.draw(table_points(d, max_size=10))
+    rows = [(p, data.draw(st.sampled_from(TABLE_VALUES))) for p in points]
+    path = tmp_path_factory.mktemp("table") / "samples.txt"
+    write_samples_file(path, d, rows)
+    added, add_error = TabulatedOracle(d), None
+    try:
+        for p, v in rows:
+            added.add(p, v)
+    except InputError as exc:
+        add_error = type(exc)
+    try:
+        loaded, file_error = TabulatedOracle.from_file(path), None
+    except InputError as exc:
+        file_error = type(exc)
+    assert file_error is add_error
+    if add_error is None:
+        queries = [*points, *itertools.product(TABLE_GRID, repeat=d)]
+        assert served(loaded, queries) == served(added, queries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=table_points(3))
+def test_signed_zeros_are_one_table_point(points):
+    flip = [tuple(-x if x == 0 else x for x in p) for p in points]
+    table = TabulatedOracle(3)
+    for k, p in enumerate(distinct(points)):
+        table.add(p, complex(k))
+    for p in flip:
+        table.add(p, table.sample(p))  # an equal duplicate is accepted
+    values = table.sample_many(np.array(flip))
+    assert values.tolist() == served(table, points)
+    with pytest.raises(InputError):
+        table.add(flip[0], table.sample(flip[0]) + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_exact_duplicate_rows_are_accepted(tmp_path_factory, d, data):
+    points = distinct(data.draw(table_points(d)))
+    rows = [(p, complex(k, 1)) for k, p in enumerate(points)]
+    repeats = data.draw(st.lists(st.sampled_from(rows), min_size=1))
+    path = tmp_path_factory.mktemp("table") / "samples.txt"
+    write_samples_file(path, d, rows + repeats)
+    table = TabulatedOracle.from_file(path)
+    for p, v in repeats:
+        table.add(p, v)
+    assert table.sample_many(np.array(points)).tolist() == [v for _, v in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_lookup_tolerance_of_the_fallback_scan(d, data):
+    points = distinct(data.draw(table_points(d)))
+    table = TabulatedOracle(d)
+    for k, p in enumerate(points):
+        table.add(p, complex(k, -1))
+    k = data.draw(st.integers(0, len(points) - 1))
+    axis = data.draw(st.integers(0, d - 1))
+    sign = data.draw(st.sampled_from((-1.0, 1.0)))
+    near = np.array(points[k])
+    # at least 1e-11 off, so the rounded key differs and only the scan hits
+    near[axis] += sign * data.draw(st.floats(1e-11, 5e-10))
+    batch = np.array([*points, near])
+    assert table.sample_many(batch).tolist() == [
+        complex(j, -1) for j in range(len(points))] + [complex(k, -1)]
+    far = np.array(points[k])
+    far[axis] += sign * 2e-9
+    with pytest.raises(MissingSampleError):
+        table.sample_many(np.array([*points, far]))
+
+
+def test_table_keys_keep_huge_coordinates_apart():
+    # scaling 1e300 by 10**12 overflows; such coordinates are keyed unrounded
+    table = TabulatedOracle(2)
+    points = np.array([[1e300, 0.0], [2e300, 0.0], [-1e300, 9007.123456789012]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, p in enumerate(points):
+            table.add(p, complex(k))
+        assert table.sample_many(points).tolist() == [0j, 1 + 0j, 2 + 0j]
+    with pytest.raises(MissingSampleError):
+        table.sample([3e300, 0.0])
 
 
 def test_samples_file_roundtrip(tmp_path):
