@@ -8,13 +8,13 @@ on stderr with an ``error_class`` field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _json
 from .demo import run_demo
 from .errors import ExpsumError, InputError
 from .model import (
@@ -90,18 +90,10 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_json.read(path))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _emit_json(data: dict, stream=None) -> None:
-    json.dump(data, stream or sys.stdout, indent=2, sort_keys=True)
-    print(file=stream or sys.stdout)
+        _json.write(path, self.to_dict())
 
 
 def _read_config(args) -> RunConfig:
@@ -147,7 +139,7 @@ def cmd_generate(args) -> int:
     if not certificate.valid:
         raise InputError("generated model failed its admissibility check")
     model.save(args.out)
-    _emit_json(
+    _json.emit(
         {
             "written": str(args.out),
             "dimension": args.dimension,
@@ -168,7 +160,7 @@ def cmd_plan(args) -> int:
     mode = "known_n" if config.mode == "known_n" else "unknown_n_worst_case"
     points = plan_points(config.basis, n_hint, mode)
     write_points_file(args.out, config.basis.dimension, points)
-    _emit_json(
+    _json.emit(
         {"written": str(args.out), "points": len(points), "mode": mode}
     )
     return EXIT_OK
@@ -213,11 +205,8 @@ def cmd_recover(args) -> int:
         for point, value, p, r in zip(points.tolist(), pairs(values),
                                       pairs(predicted), rel_err.tolist())
     ]
-    # no indent: json's fast C encoder only runs without one
-    (out / "report.json").write_text(
-        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _emit_json(
+    _json.write(out / "report.json", doc, indent=False)
+    _json.emit(
         {
             "written": str(out),
             "detected_n": report.detected_n,
@@ -272,7 +261,7 @@ def cmd_verify(args) -> int:
         ExponentialModel.load(args.model_b),
         args.tol,
     )
-    _emit_json(report)
+    _json.emit(report)
     return EXIT_OK if report["match"] else EXIT_MISMATCH
 
 
@@ -334,7 +323,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ExpsumError as exc:
-        _emit_json(
+        _json.emit(
             {
                 "error_class": type(exc).__name__,
                 "message": str(exc),
@@ -343,7 +332,7 @@ def main(argv=None) -> int:
         )
         return exc.exit_code
     except OSError as exc:
-        _emit_json(
+        _json.emit(
             {"error_class": "OSError", "message": str(exc)},
             stream=sys.stderr,
         )

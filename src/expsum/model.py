@@ -7,12 +7,12 @@ points are real d-vectors; coefficients and exponent components are complex.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _json
 from .errors import (
     DegenerateModelError,
     DimensionMismatchError,
@@ -122,14 +122,11 @@ class ExponentialModel:
         return cls(dim, terms)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _json.write(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ExponentialModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_json.read(path))
 
 
 def evaluate(model: ExponentialModel, point) -> complex:

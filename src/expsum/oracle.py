@@ -181,11 +181,13 @@ class TabulatedOracle(Oracle):
         self._insert(pt[None], [complex(value)])
 
     def _scan(self, point: list[float]) -> complex:
-        # quantization can split near-boundary keys; fall back to a scan
-        for key, value in self._table.items():
-            if max(abs(k - p) for k, p in zip(key, point)) <= self.match_tol:
-                return value
-        raise MissingSampleError(point, self.match_tol)
+        # quantization can split near-boundary keys; fall back to the nearest
+        # stored point, the first in file order on a tie
+        distance = lambda key: max(abs(k - p) for k, p in zip(key, point))
+        key = min(self._table, key=distance, default=None)
+        if key is None or distance(key) > self.match_tol:
+            raise MissingSampleError(point, self.match_tol)
+        return self._table[key]
 
     def _values(self, points: np.ndarray) -> np.ndarray:
         values = list(map(self._table.get, self._keys(points)))
@@ -254,37 +256,54 @@ def write_samples_file(path, dimension: int, rows) -> None:
 def _read_table(path, extra: int, kind: str):
     """Parse a ``dim=<d>`` file whose rows hold d + ``extra`` finite numbers;
     returns (dimension, (m, d + extra) float array, [line number per row]).
-    Every defect is an :class:`InputError` naming the file and line."""
-    rows, lines = [], []
-    dimension = None
+    Every defect is an :class:`InputError` naming the file and line: the
+    first defective line's, as if the file were read one line at a time."""
+    fields, lines = [], []
+    dimension = width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                if dimension is None:
+            if dimension is None:
+                try:
                     if not line.startswith("dim="):
                         raise ValueError("expected 'dim=<d>' header")
                     dimension = int(line[4:])
                     if dimension < 1:
                         raise ValueError("dimension must be >= 1")
-                    continue
-                fields = line.split()
-                if len(fields) != dimension + extra:
-                    raise ValueError(
-                        f"expected {dimension + extra} fields, got {len(fields)}"
-                    )
-                row = [float(x) for x in fields]
-                if not all(map(math.isfinite, row)):
-                    raise ValueError("non-finite field")
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            rows.append(row)
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: {exc}") from exc
+                width = dimension + extra
+                continue
+            row = line.split()
+            if len(row) != width:
+                _check_rows(path, fields, lines, width)  # earlier lines first
+                raise InputError(
+                    f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            fields += row
             lines.append(lineno)
     if dimension is None:
         raise InputError(f"{path}: empty {kind} file")
-    return dimension, np.array(rows).reshape(-1, dimension + extra), lines
+    try:
+        table = np.array(fields, dtype=float)  # float()'s syntax and rounding
+        if np.isfinite(table).all():
+            return dimension, table.reshape(-1, width), lines
+    except ValueError:
+        pass
+    _check_rows(path, fields, lines, width)
+
+
+def _check_rows(path, fields: list[str], lines: list[int], width: int) -> None:
+    """Raise the :class:`InputError` of the first row, ``width`` fields each,
+    that holds a field that is not a number or is not finite."""
+    for k, lineno in enumerate(lines):
+        try:
+            row = [float(x) for x in fields[k * width:(k + 1) * width]]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("non-finite field")
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
 
 
 def read_samples_file(path):

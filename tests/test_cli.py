@@ -210,6 +210,31 @@ def test_recover_rejects_a_conflicting_duplicate_row_by_file_and_lines(
     )
 
 
+@pytest.mark.parametrize("command", ["model", "config", "verify"])
+@pytest.mark.parametrize("text", [
+    '{"dimension": 1, "terms": [',
+    '{"dimension": 1, "terms": [{"coeff": [NaN, 0], "exponent": [[0, 1]]}]}',
+], ids=["truncated", "nan"])
+def test_malformed_json_input_exits_with_input_error(tmp_path, capsys, command,
+                                                     text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    model_path = tmp_path / "model.json"
+    ExponentialModel(1, (Term(1.0, (1j,)),)).save(model_path)
+    argv = {
+        "model": ["recover", "--model", bad, "--known-n", 1,
+                  "--out", tmp_path / "run"],
+        "config": ["recover", "--config", bad, "--model", model_path,
+                   "--known-n", 1, "--out", tmp_path / "run"],
+        "verify": ["verify", bad, bad],
+    }[command]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_INPUT
+    payload = json.loads(err)
+    assert payload["error_class"] == "InputError"
+    assert payload["message"].startswith(f"{bad}: not a JSON document: ")
+
+
 def test_importing_the_cli_loads_no_scipy():
     src = str(Path(expsum.__file__).resolve().parents[1])
     code = ("import sys, expsum, expsum.cli; "

@@ -211,6 +211,20 @@ def test_table_keys_keep_huge_coordinates_apart():
         table.sample([3e300, 0.0])
 
 
+def test_fallback_scan_serves_the_nearest_point():
+    # 1e-9 is within match_tol of both; 1.5e-9 is the nearer, in either order
+    for rows in ([(0.0, 1), (1.5e-9, 2)], [(1.5e-9, 2), (0.0, 1)]):
+        table = TabulatedOracle(1)
+        for x, value in rows:
+            table.add([x], value)
+        assert table.sample([1e-9]) == 2
+    # a tie serves the first stored point
+    table = TabulatedOracle(1, match_tol=0.5)
+    table.add([0.0], 1)
+    table.add([1.0], 2)
+    assert table.sample([0.5]) == 1
+
+
 def test_samples_file_roundtrip(tmp_path):
     model = reference_model()
     points = [np.array([0.01 * s, 0.003 * s]) for s in range(6)]
@@ -296,6 +310,20 @@ def test_read_points_file_rejects_bad_fields(tmp_path):
         path.write_text(text)
         with pytest.raises(InputError, match=f"{path}:{lineno}:"):
             read_points_file(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 1 0\n1 abc 0\n2 1\n", "3: could not convert string to float: 'abc'"),
+    ("0 1e400 0\n1 abc 0\n", "2: non-finite field"),
+    ("0 1 0\n1 2\n2 abc 0\n", "3: expected 3 fields, got 2"),
+    ("0 1 0\n# comment\n\n1 -inf 0\n", "5: non-finite field"),
+])
+def test_read_table_names_the_first_defective_line(tmp_path, body, message):
+    path = tmp_path / "samples.txt"
+    path.write_text("dim=1\n" + body)
+    with pytest.raises(InputError) as err:
+        read_samples_file(path)
+    assert str(err.value) == f"{path}:{message}"
 
 
 def _source(kind, model, points):
