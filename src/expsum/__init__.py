@@ -37,7 +37,6 @@ from .linalg import (
 from .model import (
     DirectionBasis,
     ExponentialModel,
-    NyquistCertificate,
     Term,
     canonicalize,
     evaluate,
@@ -46,7 +45,6 @@ from .model import (
 )
 from .multivar import (
     LevelState,
-    PileState,
     RecoveryConfig,
     RecoveryReport,
     assemble_exponents,

@@ -38,6 +38,20 @@ def emit(doc, stream=None) -> None:
     (stream or sys.stdout).write(dumps(doc).decode("utf-8"))
 
 
+def mapping(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object; anything else is an :class:`InputError`."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a boolean or a float is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def read(path):
     try:
         return orjson.loads(Path(path).read_bytes())

@@ -67,6 +67,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        data = _json.mapping(data, "run config")
         known = {"basis", "mode", "n", "recovery", "io"}
         unknown = set(data) - known
         if unknown:
@@ -76,16 +77,20 @@ class RunConfig:
         if mode not in ("known_n", "unknown_n"):
             raise InputError(f"mode must be known_n or unknown_n, got {mode!r}")
         n = data.get("n")
-        io = data.get("io", {})
+        if n is not None:
+            _json.integer(n, "n")
+        io = _json.mapping(data.get("io", {}), "io")
         bad = set(io) - {"model", "samples", "out"}
         if bad:
             raise InputError(f"unknown io keys: {sorted(bad)}")
+        if not all(isinstance(v, str) for v in io.values()):
+            raise InputError(f"io paths must be strings, got {io}")
         return cls(
             basis=None if basis is None else DirectionBasis.from_dict(basis),
             mode=mode,
-            n=None if n is None else int(n),
+            n=n,
             recovery=RecoveryConfig.from_dict(data.get("recovery", {})),
-            io={k: str(v) for k, v in io.items()},
+            io=dict(io),
         )
 
     @classmethod

@@ -144,9 +144,8 @@ def run_demo(out=None) -> bool:
     oracle = SyntheticOracle(model)
     report = recover_known_n(oracle, scenario_one_basis(), 4)
     t.check_count("samples used", report.samples_used, 12)
-    base_logs = [p.inner_products[0] for p in report.per_level[-1].piles]
-    shift_logs = [p.inner_products[1] for p in report.per_level[-1].piles]
-    coeffs = [p.coefficient_sum for p in report.per_level[-1].piles]
+    base_logs, shift_logs = report.per_level[-1].inner_products.T
+    coeffs = report.per_level[-1].coefficient_sums
     for idx, (want, note) in enumerate(_S1_BASE_LOGS, start=1):
         j = _match_nearest(want, base_logs)
         t.check(f"base log {idx}", base_logs[j], want, note)
@@ -191,7 +190,7 @@ def run_demo(out=None) -> bool:
     t.check_count(
         "piles detected", report2.per_level[0].pile_count, _S2_PILE_COUNT
     )
-    pile_logs = [p.inner_products[0] for p in report2.per_level[0].piles]
+    pile_logs = report2.per_level[0].inner_products[:, 0]
     for idx, (want, note) in enumerate(_S2_PILE_LOGS, start=1):
         j = _match_nearest(want, pile_logs)
         t.check(f"pile log {idx}", pile_logs[j], want, note)
@@ -204,11 +203,9 @@ def run_demo(out=None) -> bool:
         f"expected {str(want_ranks):>26}  {'ok' if good else 'MISMATCH'}"
     )
     rank2_members = [
-        p.inner_products[1]
-        for p in report2.per_level[1].piles
-        if _rel_err(
-            p.inner_products[0], _S2_PILE_LOGS[2][0]
-        ) <= 10 * DEMO_TOL
+        row[1]
+        for row in report2.per_level[1].inner_products
+        if _rel_err(row[0], _S2_PILE_LOGS[2][0]) <= 10 * DEMO_TOL
     ]
     for idx, want in enumerate(_S2_SUBLOGS_RANK2, start=1):
         j = _match_nearest(want, rank2_members)

@@ -108,8 +108,9 @@ class ExponentialModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExponentialModel":
+        data = _json.mapping(data, "model document")
         try:
-            dim = int(data["dimension"])
+            dim = _json.integer(data["dimension"], "dimension")
             terms = tuple(
                 Term(
                     complex(td["coeff"][0], td["coeff"][1]),
@@ -315,19 +316,21 @@ class DirectionBasis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DirectionBasis":
+        data = _json.mapping(data, "basis document")
         try:
             directions = tuple(tuple(v) for v in data["directions"])
-            dim = int(data.get("dimension", len(directions)))
-        except (KeyError, TypeError) as exc:
+            dim = _json.integer(data.get("dimension", len(directions)),
+                                "dimension")
+            mult = {
+                int(k): tuple(v) for k, v in data.get("multipliers", {}).items()
+            }
+            weights = {
+                int(k): tuple(v)
+                for k, v in data.get("combination_weights", {}).items()
+            }
+            return cls(dim, directions, mult, weights)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed basis document: {exc}") from exc
-        mult = {
-            int(k): tuple(v) for k, v in data.get("multipliers", {}).items()
-        }
-        weights = {
-            int(k): tuple(v)
-            for k, v in data.get("combination_weights", {}).items()
-        }
-        return cls(dim, directions, mult, weights)
 
 
 def identity_basis(dimension: int) -> DirectionBasis:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import linalg
+from . import _json, linalg
 from ._schedule import (BUDGET_CONSTANT, budget_bound, known_n_points,
                         level_points)
 from .errors import (
@@ -56,7 +56,6 @@ from .prony import (
 
 __all__ = [
     "RecoveryConfig",
-    "PileState",
     "LevelState",
     "RecoveryReport",
     "recover_known_n",
@@ -69,6 +68,11 @@ __all__ = [
     "budget_bound",
     "BUDGET_CONSTANT",
 ]
+
+# The JSON values a RecoveryConfig field of each annotated type accepts; a
+# boolean is not a number here.
+_JSON_TYPES = {"float": (int, float), "int": (int,),
+               "int | None": (int, type(None)), "str": (str,)}
 
 # A recovered base coefficient below this fraction of the largest one makes
 # the shift-ratio logs unreliable; the run aborts with a cancellation error.
@@ -136,34 +140,53 @@ class RecoveryConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RecoveryConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        data = _json.mapping(data, "recovery config")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            if isinstance(value, bool) or not isinstance(
+                value, _JSON_TYPES[types[name]]
+            ):
+                raise InputError(
+                    f"config key {name} must be {types[name]}, got {value!r}"
+                )
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class PileState:
-    """A group of terms indistinguishable up to the current level."""
-
-    inner_products: tuple[complex, ...]
-    coefficient_sum: complex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelState:
     """Snapshot after one identification level.
 
-    ``split_ranks`` holds the detected rank of each pile that was processed
-    at this level (empty at level 0, where piles are created rather than
-    split).
+    A pile is a group of terms indistinguishable up to this level.  Row j
+    of the read-only complex ``inner_products`` array, of shape (piles,
+    level + 1), holds pile j's inner products with directions 0..level;
+    ``coefficient_sums[j]`` is the sum of its terms' coefficients.  Rows
+    come in lexicographic (Re, Im) order: of the base nodes exp(psi_0) at
+    level 0 and in known-n recovery, of the inner-product rows at a split
+    level.  ``split_ranks`` holds the detected rank of each pile that was
+    processed at this level (empty at level 0, where piles are created
+    rather than split).
     """
 
-    level: int
-    pile_count: int
-    piles: tuple[PileState, ...]
+    inner_products: np.ndarray
+    coefficient_sums: np.ndarray
     split_ranks: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for name in ("inner_products", "coefficient_sums"):
+            view = np.asarray(getattr(self, name), dtype=complex).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @property
+    def level(self) -> int:
+        return self.inner_products.shape[1] - 1
+
+    @property
+    def pile_count(self) -> int:
+        return self.inner_products.shape[0]
 
 
 @dataclass(frozen=True)
@@ -192,16 +215,11 @@ class RecoveryReport:
                     "pile_count": lv.pile_count,
                     "split_ranks": list(lv.split_ranks),
                     "piles": [
-                        {
-                            "inner_products": [
-                                [z.real, z.imag] for z in p.inner_products
-                            ],
-                            "coefficient_sum": [
-                                p.coefficient_sum.real,
-                                p.coefficient_sum.imag,
-                            ],
-                        }
-                        for p in lv.piles
+                        {"inner_products": row, "coefficient_sum": total}
+                        for row, total in zip(
+                            _re_im(lv.inner_products).tolist(),
+                            _re_im(lv.coefficient_sums).tolist(),
+                        )
                     ],
                 }
                 for lv in self.per_level
@@ -216,6 +234,11 @@ class RecoveryReport:
             ],
             "model": self.model.to_dict(),
         }
+
+
+def _re_im(z: np.ndarray) -> np.ndarray:
+    """``z`` with each complex entry as its (Re, Im) pair on a new last axis."""
+    return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2)
 
 
 def _shift_matrices(logs, multipliers) -> np.ndarray:
@@ -341,24 +364,16 @@ def cancellation_rescue(
     max_terms: int | None = None,
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
     gap_factor: float = linalg.DEFAULT_GAP_FACTOR,
-) -> RankDecision:
+) -> tuple[RankDecision, SequenceStream]:
     """Probe parallel shifts of the base line for terms hidden by cancellation.
 
     Samples f(k * epsilon + s * direction) for k = 1..k_max (k = 0 degenerates
     to the original line), re-runs the incremental rank detection per shift,
-    and returns the best decision seen: a shifted line re-weights each pile's
-    aggregated coefficient, so a pile whose coefficients summed to zero
-    reappears.  The base rank is either confirmed or revised upward.
+    and returns the best decision seen with the stream it was taken on: a
+    shifted line re-weights each pile's aggregated coefficient, so a pile
+    whose coefficients summed to zero reappears.  The base rank is either
+    confirmed or revised upward.
     """
-    decision, _ = _rescue_probe(
-        oracle, direction, epsilon, k_max, nu_prev, max_terms,
-        rel_tol, gap_factor,
-    )
-    return decision
-
-
-def _rescue_probe(oracle, direction, epsilon, k_max, nu_prev, max_terms,
-                  rel_tol, gap_factor):
     direction = np.asarray(direction, dtype=float)
     eps = np.asarray(epsilon, dtype=float)
     if k_max < 0:
@@ -386,8 +401,7 @@ def _rescue_probe(oracle, direction, epsilon, k_max, nu_prev, max_terms,
 
 def _node_sort_order(logs) -> np.ndarray:
     nodes = np.exp(np.asarray(logs, dtype=complex))
-    keys = [(z.real, z.imag) for z in nodes]
-    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=int)
+    return np.lexsort((nodes.imag, nodes.real))
 
 
 def _merge_close_nodes(logs, coeffs, node_tol):
@@ -554,20 +568,8 @@ def recover_known_n(
         shift_values = oracle.sample_many(shift_points.reshape(-1, d))
         aggregates = np.linalg.solve(matrices, shift_values.reshape(d - 1, n, 1))
         inner = np.vstack([inner, take_logs(aggregates[..., 0] / alphas)])
-    coefficients = alphas.tolist()
-    rows = inner.T.tolist()
-    levels = [
-        LevelState(
-            level=i,
-            pile_count=n,
-            piles=tuple(
-                PileState(tuple(row[: i + 1]), coefficients[j])
-                for j, row in enumerate(rows)
-            ),
-        )
-        for i in range(d)
-    ]
-    model = _model(assemble_exponents(inner.T, basis), coefficients, config)
+    levels = [LevelState(inner.T[:, : i + 1], alphas) for i in range(d)]
+    model = _model(assemble_exponents(inner.T, basis), alphas, config)
     return _report(model, *oracle.ledger.arrays(start), levels, (decision,),
                    (), alphas, values[0])
 
@@ -608,7 +610,7 @@ def recover_unknown_n(
         epsilon = default_rescue_epsilon(
             base_dir, config.rescue_epsilon_scale, config.seed
         )
-        rescue_decision, rescue_stream = _rescue_probe(
+        rescue_decision, rescue_stream = cancellation_rescue(
             budgeted, base_dir, epsilon, config.rescue_k_max, nu,
             config.max_terms, config.rank_rel_tol, config.gap_factor,
         )
@@ -639,29 +641,19 @@ def recover_unknown_n(
             f"nearly coincident base nodes merged; continuing with {nu} piles"
         )
 
+    # the piles: row j of ``inner`` holds pile j's inner products with the
+    # directions so far, ``sums[j]`` its coefficient sum
     order = _node_sort_order(logs)
-    piles = [
-        PileState((complex(logs[j]),), complex(coeff_sums[j])) for j in order
-    ]
-    levels.append(
-        LevelState(level=0, pile_count=len(piles), piles=tuple(piles))
-    )
+    inner, sums = logs[order][:, None], coeff_sums[order]
+    levels.append(LevelState(inner, sums))
 
     for i in range(1, d):
-        nu_prev = len(piles)
+        nu_prev = len(sums)
         kappas = basis.multipliers_for(i, nu_prev)
         weights = basis.weights_for(i)
         matrix = None
         for attempt in range(config.max_level_retries + 1):
-            omegas = np.array(
-                [
-                    np.sum(
-                        [w * p.inner_products[m] for m, w in enumerate(weights)]
-                    )
-                    for p in piles
-                ],
-                dtype=complex,
-            )
+            omegas = np.sum(inner * weights, axis=1)
             candidate = linalg.vandermonde(omegas, kappas)
             cond = linalg.condition_estimate(candidate)
             if cond <= config.level_condition_limit:
@@ -684,7 +676,7 @@ def recover_unknown_n(
             )
 
         # row j: pile j's sequence, one column per shift step s
-        sequences = np.array([[p.coefficient_sum] for p in piles])
+        sequences = sums[:, None]
         certified = [False] * nu_prev
         ranks = [0] * nu_prev
         fallbacks: list[RankDecision | None] = [None] * nu_prev
@@ -762,8 +754,8 @@ def recover_unknown_n(
                     else:
                         fallbacks[j] = pile_decision
 
-        new_piles: list[PileState] = []
-        for j, pile in enumerate(piles):
+        sub_counts, new_logs, new_sums = [], [], []
+        for j in range(nu_prev):
             r = ranks[j]
             seq = sequences[j]
             try:
@@ -786,30 +778,19 @@ def recover_unknown_n(
                 warnings.append(
                     f"pile {j} at level {i}: coincident sub-nodes merged"
                 )
-            for w, a in zip(sub_logs, sub_coeffs):
-                new_piles.append(
-                    PileState(pile.inner_products + (complex(w),), complex(a))
-                )
-        new_piles.sort(
-            key=lambda p: tuple(
-                x for z in p.inner_products for x in (z.real, z.imag)
-            )
+            sub_counts.append(len(sub_logs))
+            new_logs.append(sub_logs)
+            new_sums.append(sub_coeffs)
+        # each sub-pile inherits its pile's row and appends its sub-log;
+        # one stable sort orders the rows by their (Re, Im) pairs
+        inner = np.column_stack(
+            [np.repeat(inner, sub_counts, axis=0), np.concatenate(new_logs)]
         )
-        piles = new_piles
-        levels.append(
-            LevelState(
-                level=i,
-                pile_count=len(piles),
-                piles=tuple(piles),
-                split_ranks=tuple(ranks),
-            )
-        )
+        order = np.lexsort(_re_im(inner).reshape(len(inner), -1).T[::-1])
+        inner, sums = inner[order], np.concatenate(new_sums)[order]
+        levels.append(LevelState(inner, sums, tuple(ranks)))
 
-    provisional = _model(
-        assemble_exponents([p.inner_products for p in piles], basis),
-        [p.coefficient_sum for p in piles],
-        config,
-    )
+    provisional = _model(assemble_exponents(inner, basis), sums, config)
 
     # final coefficients: least squares over every sample this run consumed
     points, observed = oracle.ledger.arrays(budgeted.start)

@@ -161,7 +161,7 @@ def test_criterion_1_scenario1_reproduction(scenario1, acceptance_log):
         -0.004 + 1.005j,
         -0.125 + 0.3456j,
     ]
-    got_logs = [p.inner_products[0] for p in report.per_level[0].piles]
+    got_logs = report.per_level[0].inner_products[:, 0]
     ok = ok and _set_match_error(
         got_logs, published_base_logs
     ) < 5e-4 * max(abs(z) for z in published_base_logs)

@@ -235,6 +235,39 @@ def test_malformed_json_input_exits_with_input_error(tmp_path, capsys, command,
     assert payload["message"].startswith(f"{bad}: not a JSON document: ")
 
 
+@pytest.mark.parametrize("command, text", [
+    ("model", '{"dimension": "x", "terms": []}'),
+    ("model", '{"dimension": 1.9, "terms": '
+              '[{"coeff": [1, 0], "exponent": [[0, 1]]}]}'),
+    ("verify", '{"dimension": "x", "terms": []}'),
+    ("config", '[1, [2]]'),
+    ("config", '{"recovery": []}'),
+    ("config", '{"recovery": {"max_terms": "x"}}'),
+    ("config", '{"basis": {"directions": [[1.0]], "multipliers": {"a": [1]}}}'),
+    ("config", '{"io": {"out": [1, 2]}}'),
+], ids=["model-dimension", "model-float-dimension", "verify-dimension",
+        "config-list", "recovery-list", "recovery-field",
+        "basis-multiplier-level", "io-path-list"])
+def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
+                                                       command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    model_path = tmp_path / "model.json"
+    ExponentialModel(1, (Term(1.0, (1j,)),)).save(model_path)
+    argv = {
+        "model": ["recover", "--model", bad, "--known-n", 1,
+                  "--out", tmp_path / "run"],
+        "config": ["recover", "--config", bad, "--model", model_path,
+                   "--known-n", 1, "--out", tmp_path / "run"],
+        "verify": ["verify", model_path, bad],
+    }[command]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_INPUT
+    payload = json.loads(err)
+    assert payload["error_class"] == "InputError"
+    assert not (tmp_path / "run").exists()
+
+
 def test_importing_the_cli_loads_no_scipy():
     src = str(Path(expsum.__file__).resolve().parents[1])
     code = ("import sys, expsum, expsum.cli; "

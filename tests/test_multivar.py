@@ -286,7 +286,7 @@ def test_cancellation_rescue_confirms_clean_rank():
     model = random_model(2, 3, rng, basis)
     oracle = SyntheticOracle(model)
     epsilon = default_rescue_epsilon(basis.direction(0), seed=5)
-    decision = cancellation_rescue(
+    decision, _ = cancellation_rescue(
         oracle, basis.direction(0), epsilon, k_max=2, nu_prev=3
     )
     assert decision.rank == 3
@@ -302,7 +302,7 @@ def test_cancellation_rescue_reveals_hidden_pile():
     masked = detect_sparsity(stream.value_at, max_terms=8)
     assert masked.rank == 2  # one of three piles sums to zero
     epsilon = default_rescue_epsilon(basis.direction(0), seed=6)
-    rescued = cancellation_rescue(
+    rescued, _ = cancellation_rescue(
         oracle, basis.direction(0), epsilon, k_max=2, nu_prev=masked.rank
     )
     assert rescued.rank == 3
@@ -316,7 +316,7 @@ def test_cancellation_rescue_degenerate_k_zero_matches_original():
     stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
     original = detect_sparsity(stream.value_at, max_terms=8)
     epsilon = default_rescue_epsilon(basis.direction(0), seed=7)
-    degenerate = cancellation_rescue(
+    degenerate, _ = cancellation_rescue(
         oracle, basis.direction(0), epsilon, k_max=0, nu_prev=original.rank
     )
     assert degenerate.rank == original.rank
@@ -419,3 +419,60 @@ def test_pairing_invariant_under_node_permutation():
     direct = recover_with(np.arange(4))
     permuted = recover_with(np.array([2, 0, 3, 1]))
     assert model_error(direct, permuted) < 1e-9
+
+
+def _lexicographic(rows) -> bool:
+    keys = [tuple(x for z in row for x in (z.real, z.imag)) for row in rows]
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("mode", ["unknown_n", "known_n"])
+def test_level_states_are_read_only_pile_arrays(mode):
+    rng = np.random.default_rng(41)
+    if mode == "unknown_n":
+        # pinned non-unit weights: level 3's accumulated direction sums
+        # three weighted inner products per pile
+        drawn = random_basis(4, rng)
+        basis = DirectionBasis(4, drawn.directions, {},
+                               {2: (0.7, 1.3), 3: (0.6, 1.2, 0.9)})
+        model = collision_instance(4, rng, basis, pile_sizes=(2, 1),
+                                   deep_collision=True)
+        report = recover_unknown_n(SyntheticOracle(model), basis,
+                                   RecoveryConfig(max_terms=8))
+    else:
+        basis = random_basis(3, rng)
+        model = random_model(3, 4, rng, basis)
+        report = recover_known_n(SyntheticOracle(model), basis, 4)
+    f0 = complex(np.sum(model.coefficients()))
+    for lv in report.per_level:
+        assert lv.inner_products.shape == (lv.pile_count, lv.level + 1)
+        assert lv.coefficient_sums.shape == (lv.pile_count,)
+        for arr in (lv.inner_products, lv.coefficient_sums):
+            assert arr.dtype == complex and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # base piles come in node order, split piles in inner-product order
+        if lv.split_ranks:
+            assert _lexicographic(lv.inner_products)
+        else:
+            assert _lexicographic(np.exp(lv.inner_products[:, :1]))
+        assert abs(np.sum(lv.coefficient_sums) - f0) < 1e-10 * abs(f0)
+    assert [lv.level for lv in report.per_level] == list(range(basis.dimension))
+    if mode == "unknown_n":
+        # the deep pair shares its first two inner products
+        assert [lv.pile_count for lv in report.per_level] == [2, 2, 3, 3]
+    # the last level's rows are the planted inner products Psi = Phi D^T
+    psi = model.exponent_matrix() @ basis.matrix().T
+    last = report.per_level[-1].inner_products
+    gaps = np.abs(last[:, None, :] - psi[None]).max(axis=2)
+    assert sorted(gaps.argmin(axis=1)) == list(range(model.n_terms))
+    assert gaps.min(axis=1).max() < 1e-8
+    # report.json keeps one [re, im] pair per inner product and per sum
+    for entry, lv in zip(report.to_dict()["per_level"], report.per_level):
+        assert entry["piles"] == [
+            {"inner_products": [[float(z.real), float(z.imag)] for z in row],
+             "coefficient_sum": [float(c.real), float(c.imag)]}
+            for row, c in zip(lv.inner_products, lv.coefficient_sums)
+        ]
+        assert all(type(x) is float for pile in entry["piles"]
+                   for pair in pile["inner_products"] for x in pair)
