@@ -29,9 +29,8 @@ SINGULAR_RTOL = 1e3 * EPS
 DEFAULT_RANK_RTOL = 1e-8
 DEFAULT_GAP_FACTOR = 1e3
 
-# Condition estimate above which the pencil solver switches from the
-# reduce-to-standard path to a QZ decomposition.
-PENCIL_CONDITION_SWITCH = 1e8
+# sigma_min/sigma_max below which a pencil's right-hand matrix is singular.
+PENCIL_SINGULAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,10 @@ def condition_estimate(a) -> float:
     return float(sv[0] / sv[-1])
 
 
-def solve(a, b, singular_rtol: float = SINGULAR_RTOL) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve the square system a x = b by pivoted elimination.
 
-    Raises :class:`SingularMatrixError` when sigma_min <= singular_rtol *
+    Raises :class:`SingularMatrixError` when sigma_min <= SINGULAR_RTOL *
     sigma_max.  On success the solution satisfies the residual contract
     ||a x - b|| <= 1e3 * eps * n * (||a|| ||x|| + ||b||).
     """
@@ -102,7 +101,7 @@ def solve(a, b, singular_rtol: float = SINGULAR_RTOL) -> np.ndarray:
             f"right-hand side has {bv.shape[0]} rows, matrix has {am.shape[0]}"
         )
     sv = np.linalg.svd(am, compute_uv=False)
-    if sv[0] == 0 or sv[-1] <= singular_rtol * sv[0]:
+    if sv[0] == 0 or sv[-1] <= SINGULAR_RTOL * sv[0]:
         raise SingularMatrixError(
             "matrix is singular to working tolerance "
             f"(sigma_min={sv[-1]:.3e}, sigma_max={sv[0]:.3e})",
@@ -116,7 +115,8 @@ def solve_least_squares(a, b, rcond: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     """Minimize ||a x - b||_2 via orthogonal factorization.
 
     Requires rows >= cols and full column rank to ``rcond``; otherwise a
-    :class:`RankDeficiencyError` is raised carrying the rank decision.
+    :class:`RankDeficiencyError` is raised carrying the rank decision, with
+    the matrix's condition estimate in its message.
     """
     am = np.asarray(a, dtype=complex)
     bv = np.asarray(b, dtype=complex)
@@ -136,8 +136,11 @@ def solve_least_squares(a, b, rcond: float = DEFAULT_RANK_RTOL) -> np.ndarray:
             tolerance_used=float(rcond * sv[0]) if sv.size else 0.0,
             confident=True,
         )
+        cond = sv[0] / sv[-1] if sv[-1] else float("inf")
         raise RankDeficiencyError(
-            f"matrix has column rank {rank} < {am.shape[1]}", decision=decision
+            f"matrix has column rank {rank} < {am.shape[1]} "
+            f"(condition estimate {cond:.2e})",
+            decision=decision,
         )
     return x
 
@@ -181,37 +184,29 @@ def numerical_rank(
     a,
     rel_tol: float = DEFAULT_RANK_RTOL,
     gap_factor: float = DEFAULT_GAP_FACTOR,
-    scale: float | None = None,
 ) -> RankDecision:
     """Count singular values above rel_tol * sigma_max.
 
     The decision is confident when the matrix has full rank or the gap
     between the last counted and first discarded singular value is at
-    least ``gap_factor``.  ``scale`` substitutes an external reference
-    magnitude for sigma_max in the threshold.
+    least ``gap_factor``.
     """
     am = np.asarray(a, dtype=complex)
     if am.ndim != 2:
         raise InputError("numerical_rank expects a matrix")
     sv = np.linalg.svd(am, compute_uv=False)
-    return rank_from_singular_values(sv, rel_tol, gap_factor, scale)
+    return rank_from_singular_values(sv, rel_tol, gap_factor)
 
 
-def generalized_eigenvalues(
-    a,
-    b,
-    singular_rtol: float = 1e-12,
-    condition_switch: float = PENCIL_CONDITION_SWITCH,
-    b_singular_values=None,
-) -> np.ndarray:
+def generalized_eigenvalues(a, b, b_singular_values=None) -> np.ndarray:
     """Eigenvalues lambda of the pencil (a, b): det(a - lambda b) = 0.
 
-    When b is well conditioned the pencil is reduced to the standard
-    eigenproblem of b^{-1} a; otherwise a QZ decomposition is used.  The
-    eigenvalue order is unspecified.  Raises
-    :class:`PencilDegenerateError` when b is singular to tolerance, which
-    usually means the assumed problem size is too large.  Known singular
-    values of b (descending) may be passed as ``b_singular_values``.
+    The pencil is reduced to the standard eigenproblem of b^{-1} a.  The
+    eigenvalue order is unspecified.  Raises :class:`PencilDegenerateError`
+    when b is singular to tolerance, which usually means the assumed
+    problem size is too large, and when b^{-1} a is not finite, as with
+    data at subnormal magnitude.  Known singular values of b (descending)
+    may be passed as ``b_singular_values``.
     """
     am = np.asarray(a, dtype=complex)
     bm = np.asarray(b, dtype=complex)
@@ -223,14 +218,16 @@ def generalized_eigenvalues(
     sv = b_singular_values
     if sv is None:
         sv = np.linalg.svd(bm, compute_uv=False)
-    if sv[0] == 0 or sv[-1] <= singular_rtol * sv[0]:
+    if sv[0] == 0 or sv[-1] <= PENCIL_SINGULAR_RTOL * sv[0]:
         raise PencilDegenerateError(
             "pencil right-hand matrix is singular to tolerance "
             f"(sigma_min/sigma_max = {sv[-1] / sv[0] if sv[0] else 0:.3e}); "
             "re-detect the rank before solving"
         )
-    if sv[0] / sv[-1] <= condition_switch:
+    try:
         return np.linalg.eigvals(np.linalg.solve(bm, am))
-    # imported here: scipy.linalg costs about 0.3 s of every start-up
-    import scipy.linalg
-    return scipy.linalg.eigvals(am, bm)
+    except np.linalg.LinAlgError as exc:
+        raise PencilDegenerateError(
+            f"pencil could not be reduced ({exc}); sigma_max of the "
+            f"right-hand matrix is {sv[0]:.3e}"
+        ) from exc

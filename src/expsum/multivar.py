@@ -72,7 +72,7 @@ __all__ = [
 # The JSON values a RecoveryConfig field of each annotated type accepts; a
 # boolean is not a number here.
 _JSON_TYPES = {"float": (int, float), "int": (int,),
-               "int | None": (int, type(None)), "str": (str,)}
+               "int | None": (int, type(None))}
 
 # A recovered base coefficient below this fraction of the largest one makes
 # the shift-ratio logs unreliable; the run aborts with a cancellation error.
@@ -95,8 +95,6 @@ class RecoveryConfig:
     merge_tol: float = 1e-9
     max_terms: int = 16
     budget_cap: int | None = None
-    node_method: str = "generalized_eig"
-    coefficient_mode: str = "least_squares"
     rescue_k_max: int = 0
     rescue_epsilon_scale: float = 1e-2
     seed: int = 0
@@ -128,12 +126,6 @@ class RecoveryConfig:
             raise InputError("budget_cap must be >= 1 when set")
         if self.rescue_k_max < 0:
             raise InputError("rescue_k_max must be >= 0")
-        if self.node_method not in ("generalized_eig", "hankel_polynomial"):
-            raise InputError(f"unknown node method: {self.node_method!r}")
-        if self.coefficient_mode not in ("least_squares", "square_k"):
-            raise InputError(
-                f"unknown coefficient mode: {self.coefficient_mode!r}"
-            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -534,7 +526,7 @@ def recover_known_n(
         )
 
     try:
-        nodes = fit_nodes(values, n, config.node_method, decision.singular_values)
+        nodes = fit_nodes(values, n, decision.singular_values)
     except RankMismatchError as exc:
         raise CollisionDetectedError(
             f"node fit failed at rank {n} ({exc}); use recover_unknown_n",
@@ -551,7 +543,7 @@ def recover_known_n(
             )
     logs = take_logs(nodes)
     logs = logs[_node_sort_order(logs)]
-    alphas = fit_coefficients(logs, values, mode=config.coefficient_mode)
+    alphas = fit_coefficients(logs, values)
     magnitudes = np.abs(alphas)
     if d > 1 and np.any(magnitudes < CANCELLATION_RTOL * magnitudes.max()):
         raise CancellationSuspectedError(
@@ -624,14 +616,12 @@ def recover_unknown_n(
             fit_stream = rescue_stream
 
     fit_stream.ensure(2 * nu)
-    nodes = fit_nodes(fit_stream.values, nu, config.node_method)
+    nodes = fit_nodes(fit_stream.values, nu)
     logs = take_logs(nodes)
 
     # pile coefficient sums always come from the unshifted base line
     base.ensure(2 * nu)
-    coeff_sums = fit_coefficients(
-        logs, base.values, mode=config.coefficient_mode
-    )
+    coeff_sums = fit_coefficients(logs, base.values)
     logs, coeff_sums, merged = _merge_close_nodes(
         logs, coeff_sums, config.node_tol
     )

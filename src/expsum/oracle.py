@@ -18,6 +18,7 @@ from .model import DirectionBasis, ExponentialModel, evaluate, exp_matrix
 
 QUANTIZE_DIGITS = 12
 MATCH_TOL = 1e-9
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class SampleLedger:
@@ -93,6 +94,17 @@ class Oracle:
             raise InputError(
                 f"the source value at point {point} overflowed or is not finite"
             )
+        # a subnormal value keeps too few bits for the solves that follow;
+        # zero is a valid sample.  The minimum screens the batch cheaply.
+        magnitudes = np.abs(values)
+        if magnitudes.min(initial=np.inf) < SMALLEST_NORMAL:
+            subnormal = (magnitudes > 0) & (magnitudes < SMALLEST_NORMAL)
+            if subnormal.any():
+                point = tuple(pts[np.argmax(subnormal)].tolist())
+                raise InputError(
+                    f"the source value at point {point} is subnormal (below "
+                    f"{SMALLEST_NORMAL:.3e} in magnitude); rescale the data"
+                )
         self.ledger.extend(pts, values)
         return values
 

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from expsum import DirectionBasis, ExponentialModel, Term, canonicalize
+from expsum import (
+    DirectionBasis,
+    ExponentialModel,
+    Term,
+    canonicalize,
+    hankel,
+    solve,
+)
 from expsum.cli import verify_models
 from expsum.demo import demo_model as reference_model
 from expsum.demo import scenario_one_basis, scenario_two_basis
@@ -18,6 +25,22 @@ def model_error(model_a: ExponentialModel, model_b: ExponentialModel) -> float:
         return float("inf")
     return max(result["max_exponent_rel_err"],
                result["max_coefficient_rel_err"])
+
+
+def companion_nodes(values, nu: int) -> np.ndarray:
+    """The nu nodes of equidistant samples F_0, F_1, ... by the classical
+    Prony route, independent of the library's pencil: solve the Hankel
+    system for the monic polynomial whose roots are the nodes, then take
+    the eigenvalues of its companion matrix.  Raises
+    :class:`expsum.SingularMatrixError` when the nu x nu Hankel matrix is
+    singular, i.e. when nu exceeds the number of terms."""
+    values = np.asarray(values, dtype=complex)
+    beta = solve(hankel(values, nu, nu), -values[nu : 2 * nu])
+    # companion matrix of z^nu + beta_{nu-1} z^{nu-1} + ... + beta_0
+    comp = np.zeros((nu, nu), dtype=complex)
+    comp[1:, :-1] = np.eye(nu - 1)
+    comp[:, -1] = -beta
+    return np.linalg.eigvals(comp)
 
 
 def fold_to_principal(model: ExponentialModel, basis: DirectionBasis) -> ExponentialModel:

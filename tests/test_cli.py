@@ -19,7 +19,14 @@ from expsum import (
     identity_basis,
     recover_known_n,
 )
-from expsum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, RunConfig, main
+from expsum.cli import (
+    EXIT_INPUT,
+    EXIT_MISMATCH,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    RunConfig,
+    main,
+)
 from expsum.oracle import read_points_file, write_samples_file
 
 
@@ -245,9 +252,10 @@ def test_malformed_json_input_exits_with_input_error(tmp_path, capsys, command,
     ("config", '{"recovery": {"max_terms": "x"}}'),
     ("config", '{"basis": {"directions": [[1.0]], "multipliers": {"a": [1]}}}'),
     ("config", '{"io": {"out": [1, 2]}}'),
+    ("config", '{"recovery": {"node_method": "generalized_eig"}}'),
 ], ids=["model-dimension", "model-float-dimension", "verify-dimension",
         "config-list", "recovery-list", "recovery-field",
-        "basis-multiplier-level", "io-path-list"])
+        "basis-multiplier-level", "io-path-list", "recovery-removed-field"])
 def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
                                                        command, text):
     bad = tmp_path / "bad.json"
@@ -272,6 +280,25 @@ def test_importing_the_cli_loads_no_scipy():
     src = str(Path(expsum.__file__).resolve().parents[1])
     code = ("import sys, expsum, expsum.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_recovery_loads_no_scipy():
+    # the base Hankel matrix of this model has condition 1.7e8
+    src = str(Path(expsum.__file__).resolve().parents[1])
+    code = (
+        "import sys; from expsum import *; "
+        "m = ExponentialModel(1, (Term(1, (0.3j,)), "
+        "Term(1, (0.3j + 3e-4 * (1 + 1j),)), Term(2, (-1.1j,)))); "
+        "r = recover_known_n(SyntheticOracle(m), identity_basis(1), 3); "
+        "assert r.detected_n == 3; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
@@ -400,6 +427,34 @@ def test_recover_overflowing_model_stderr_is_one_json_object(tmp_path):
     )
     assert proc.returncode == EXIT_INPUT
     assert json.loads(proc.stderr)["error_class"] == "InputError"
+
+
+@pytest.mark.parametrize("source, known_n", [
+    ("model", ["--known-n", "3"]), ("model", []), ("samples", ["--known-n", "2"]),
+], ids=["model-known-n", "model-unknown-n", "samples-known-n"])
+def test_recover_subnormal_data_stderr_is_one_json_object(tmp_path, source,
+                                                          known_n):
+    if source == "model":
+        path = tmp_path / "model.json"
+        ExponentialModel(2, (
+            Term(1e-310, (0.1 + 0.3j, 0.2j)),
+            Term(2e-310, (-0.1 + 1.1j, -0.5j)),
+            Term(-1.5e-310, (0.05 - 0.7j, 0.9j)),
+        )).save(path)
+    else:
+        path = tmp_path / "samples.txt"
+        # two terms, 1e-310 * (1 + 0.5**s), on the points s = 0..5
+        rows = [f"{s} {1e-310 * (1 + 0.5**s)!r} 0" for s in range(6)]
+        path.write_text("dim=1\n" + "\n".join(rows) + "\n")
+    src = str(Path(expsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "expsum.cli", "recover", f"--{source}",
+         str(path), *known_n, "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode in (EXIT_INPUT, EXIT_NUMERICAL)
+    assert isinstance(json.loads(proc.stderr), dict)
 
 
 def test_demo_command_passes(capsys):

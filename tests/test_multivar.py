@@ -110,19 +110,12 @@ def test_known_n_tiny_coefficient_flags_cancellation():
         2,
         (
             Term(1.0, (0.2 + 0.3j, 1.0j)),
-            Term(8e-13, (0.3 - 2.8j, 0.4j)),
+            Term(8e-13, (4.0 - 2.8j, 0.4j)),
         ),
     )
     oracle = SyntheticOracle(model)
     with pytest.raises(CancellationSuspectedError):
-        recover_known_n(
-            oracle,
-            basis,
-            2,
-            RecoveryConfig(
-                collision_rel_tol=1e-15, node_method="hankel_polynomial"
-            ),
-        )
+        recover_known_n(oracle, basis, 2, RecoveryConfig())
 
 
 def test_solve_shift_system_single_node():

@@ -455,6 +455,18 @@ def test_sample_many_rejects_non_finite_values(bad):
     assert noisy.ledger.count == 0
 
 
+def test_sample_many_rejects_subnormal_values():
+    table = TabulatedOracle(1)
+    for x, value in ((0.0, 1.0), (1.0, 1e-310j), (2.0, 0.0), (3.0, 1 + 1e-310j)):
+        table.add([x], value)
+    with pytest.raises(InputError, match=r"point \(1\.0,\) is subnormal"):
+        table.sample_many(np.array([[0.0], [1.0], [2.0]]))
+    assert table.ledger.count == 0
+    # zero, and a subnormal part of a normal value, are valid samples
+    table.sample_many(np.array([[2.0], [3.0]]))
+    assert table.ledger.count == 2
+
+
 def test_sequence_stream_draws_missing_indices_in_one_batch():
     oracle = SyntheticOracle(reference_model())
     calls = []

@@ -1,7 +1,5 @@
 """Univariate engine: sparsity detection, node fits, logs, coefficients."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from expsum import (
     InvalidNodeError,
     RankDeficiencyError,
     RankMismatchError,
+    SingularMatrixError,
     SparsityUndetectedError,
     SyntheticOracle,
     detect_sparsity,
@@ -18,9 +17,8 @@ from expsum import (
     take_logs,
 )
 from expsum.oracle import SequenceStream
-from expsum.prony import ConditioningWarning
 
-from helpers import reference_model, scenario_two_basis
+from helpers import companion_nodes, reference_model, scenario_two_basis
 
 
 def _planted_sequence(logs, coeffs, count):
@@ -107,8 +105,8 @@ def test_fit_nodes_methods_agree_and_match_planted():
     logs = rng.standard_normal(3) * 0.2 + 1j * rng.uniform(-2, 2, 3)
     coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     seq = _planted_sequence(logs, coeffs, 6)
-    eig_nodes = np.sort_complex(fit_nodes(seq, 3, "generalized_eig"))
-    poly_nodes = np.sort_complex(fit_nodes(seq, 3, "hankel_polynomial"))
+    eig_nodes = np.sort_complex(fit_nodes(seq, 3))
+    poly_nodes = np.sort_complex(companion_nodes(seq, 3))
     planted = np.sort_complex(np.exp(logs))
     assert np.allclose(eig_nodes, poly_nodes, atol=1e-6)
     assert np.allclose(eig_nodes, planted, rtol=1e-8)
@@ -117,9 +115,9 @@ def test_fit_nodes_methods_agree_and_match_planted():
 def test_fit_nodes_wrong_nu_raises_rank_mismatch():
     seq = _planted_sequence([0.1], [2.0], 8)
     with pytest.raises(RankMismatchError):
-        fit_nodes(seq, 3, "generalized_eig")
-    with pytest.raises(RankMismatchError):
-        fit_nodes(seq, 3, "hankel_polynomial")
+        fit_nodes(seq, 3)
+    with pytest.raises(SingularMatrixError):
+        companion_nodes(seq, 3)
 
 
 @pytest.mark.parametrize("values", [[], [1.0], np.ones((2, 2))])
@@ -128,8 +126,6 @@ def test_fit_nodes_and_coefficients_reject_empty_short_or_2d_samples(values):
         fit_nodes(values, 1)
     with pytest.raises(InputError):
         fit_coefficients([0.1, 0.2], values)
-    with pytest.raises(InputError):
-        fit_coefficients([0.1, 0.2], values, mode="square_k")
 
 
 def test_fit_coefficients_rejects_empty_samples_without_logs():
@@ -166,38 +162,18 @@ def test_fit_coefficients_single_unit_node():
     assert np.allclose(coeffs, [5.0])
 
 
-def test_fit_coefficients_square_mode_matches_least_squares_on_exact_data():
-    rng = np.random.default_rng(14)
-    logs = rng.standard_normal(4) * 0.2 + 1j * rng.uniform(-2, 2, 4)
-    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    seq = _planted_sequence(logs, coeffs, 8)
-    ls = fit_coefficients(logs, seq, mode="least_squares")
-    for k in (0, 2, 4):
-        sq = fit_coefficients(logs, seq, mode="square_k", k=k)
-        assert np.allclose(sq, ls, atol=1e-9)
-        assert np.allclose(sq, coeffs, rtol=1e-8)
-
-
 def _near_collision(eps):
     logs = np.array([0.1j, 0.1j + eps, -0.3j])
     return logs, _planted_sequence(logs, [1.0, 2.0, 3.0], 6)
 
 
 def test_fit_coefficients_conditioning_warning():
-    # least_squares stops at rcond 1e-8, so the warning (above 1e12) only
-    # comes right before the rank error; square_k solves up to ~4.5e12
-    logs, seq = _near_collision(1e-12)
-    with pytest.warns(ConditioningWarning):
-        with pytest.raises(RankDeficiencyError):
-            fit_coefficients(logs, seq, mode="least_squares")
-    logs, seq = _near_collision(1e-9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ConditioningWarning)
-        with pytest.raises(RankDeficiencyError):
-            fit_coefficients(logs, seq, mode="least_squares")
-        logs, seq = _near_collision(1e-10)
-        coeffs = fit_coefficients(logs, seq, mode="square_k")
-    assert np.all(np.isfinite(coeffs))
+    # least squares stops at rcond 1e-8; its error names the condition
+    for eps in (1e-12, 1e-9):
+        logs, seq = _near_collision(eps)
+        with pytest.raises(RankDeficiencyError,
+                           match=r"condition estimate \d\.\d\de\+\d+"):
+            fit_coefficients(logs, seq)
 
 
 def test_fit_coefficients_reference_alpha1():
