@@ -243,7 +243,10 @@ def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
         result["reason"] = "term-count mismatch"
         return result
     ea, eb = a.exponent_matrix(), b.exponent_matrix()
-    cost = np.linalg.norm(ea[:, None, :] - eb[None, :, :], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.linalg.norm(ea[:, None, :] - eb[None, :, :], axis=2)
+    if not np.all(np.isfinite(cost)):
+        raise InputError("exponent distances overflow; cannot match terms")
     rows, cols = linear_sum_assignment(cost)
     ca, cb = a.coefficients(), b.coefficients()
     exp_err = 0.0

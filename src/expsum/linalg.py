@@ -27,7 +27,7 @@ SINGULAR_RTOL = 1e3 * EPS
 # Rank-decision defaults: exact-arithmetic data separates structural
 # singularity from roundoff by many orders of magnitude.
 DEFAULT_RANK_RTOL = 1e-8
-DEFAULT_GAP_FACTOR = 1e3
+GAP_FACTOR = 1e3
 
 # sigma_min/sigma_max below which a pencil's right-hand matrix is singular.
 PENCIL_SINGULAR_RTOL = 1e-12
@@ -38,7 +38,7 @@ class RankDecision:
     """Outcome of a numerical-rank test.
 
     ``confident`` is True when the rank is full or the singular-value gap
-    sigma_rank / sigma_{rank+1} exceeds the gap factor, i.e. when the
+    sigma_rank / sigma_{rank+1} reaches ``GAP_FACTOR``, i.e. when the
     decision is not a close call.
     """
 
@@ -148,7 +148,6 @@ def solve_least_squares(a, b, rcond: float = DEFAULT_RANK_RTOL) -> np.ndarray:
 def rank_from_singular_values(
     sv,
     rel_tol: float = DEFAULT_RANK_RTOL,
-    gap_factor: float = DEFAULT_GAP_FACTOR,
     scale: float | None = None,
 ) -> RankDecision:
     """Rank decision from a descending singular-value vector.
@@ -159,8 +158,6 @@ def rank_from_singular_values(
     """
     if not 0 < rel_tol < 1:
         raise InputError("rel_tol must lie in (0, 1)")
-    if gap_factor <= 1:
-        raise InputError("gap_factor must exceed 1")
     sv = np.asarray(sv, dtype=float)
     smax = float(sv[0]) if sv.size else 0.0
     reference = smax if scale is None else max(float(scale), smax)
@@ -172,30 +169,26 @@ def rank_from_singular_values(
     if full:
         confident = True
     elif rank == 0:
-        confident = smax <= threshold / gap_factor
+        confident = smax <= threshold / GAP_FACTOR
     else:
-        confident = bool(sv[rank - 1] >= gap_factor * sv[rank])
+        confident = bool(sv[rank - 1] >= GAP_FACTOR * sv[rank])
     return RankDecision(
         rank, tuple(float(s) for s in sv), float(threshold), confident
     )
 
 
-def numerical_rank(
-    a,
-    rel_tol: float = DEFAULT_RANK_RTOL,
-    gap_factor: float = DEFAULT_GAP_FACTOR,
-) -> RankDecision:
+def numerical_rank(a, rel_tol: float = DEFAULT_RANK_RTOL) -> RankDecision:
     """Count singular values above rel_tol * sigma_max.
 
     The decision is confident when the matrix has full rank or the gap
     between the last counted and first discarded singular value is at
-    least ``gap_factor``.
+    least ``GAP_FACTOR``.
     """
     am = np.asarray(a, dtype=complex)
     if am.ndim != 2:
         raise InputError("numerical_rank expects a matrix")
     sv = np.linalg.svd(am, compute_uv=False)
-    return rank_from_singular_values(sv, rel_tol, gap_factor)
+    return rank_from_singular_values(sv, rel_tol)
 
 
 def generalized_eigenvalues(a, b, b_singular_values=None) -> np.ndarray:

@@ -163,38 +163,36 @@ def exp_matrix(model: ExponentialModel, points: np.ndarray) -> np.ndarray:
     return r * np.cos(x.imag) + 1j * (r * np.sin(x.imag))
 
 
-def canonicalize(model: ExponentialModel, merge_tol: float = 0.0) -> ExponentialModel:
+def canonicalize(model: ExponentialModel, tol: float = 0.0) -> ExponentialModel:
     """Merge duplicate exponent vectors, drop vanished terms, sort.
 
-    Terms whose exponent vectors agree componentwise within ``merge_tol``
-    are merged by summing coefficients; merged terms with ``|coefficient|
-    <= merge_tol`` are dropped.  The result is sorted by the lexicographic
-    key (Re phi_1, Im phi_1, ..., Re phi_d, Im phi_d) so canonical models
-    compare deterministically.
+    Terms whose exponent vectors agree componentwise within ``tol`` are
+    merged by summing coefficients.  A merged term is dropped when its
+    ``|coefficient| <= tol * max |coefficient|`` over the merged terms, so
+    the drop does not depend on the model's overall scale.  The result is
+    sorted by the lexicographic key (Re phi_1, Im phi_1, ..., Re phi_d,
+    Im phi_d) so canonical models compare deterministically.
 
     Raises :class:`DegenerateModelError` if every term cancels.
     """
-    if merge_tol < 0:
-        raise InputError("merge_tol must be >= 0")
+    if tol < 0:
+        raise InputError("tol must be >= 0")
     ordered = sorted(model.terms, key=_term_sort_key)
     groups: list[list[Term]] = []
     for term in ordered:
         placed = False
         for group in groups:
             rep = group[0].exponent
-            if all(
-                abs(a - b) <= merge_tol for a, b in zip(rep, term.exponent)
-            ):
+            if all(abs(a - b) <= tol for a, b in zip(rep, term.exponent)):
                 group.append(term)
                 placed = True
                 break
         if not placed:
             groups.append([term])
-    merged = []
-    for group in groups:
-        coeff = sum(t.coefficient for t in group)
-        if abs(coeff) > merge_tol:
-            merged.append(Term(coeff, group[0].exponent))
+    sums = [sum(t.coefficient for t in group) for group in groups]
+    floor = tol * max(map(abs, sums))
+    merged = [Term(coeff, group[0].exponent)
+              for coeff, group in zip(sums, groups) if abs(coeff) > floor]
     if not merged:
         raise DegenerateModelError("all terms cancelled during canonicalization")
     merged.sort(key=_term_sort_key)
@@ -335,6 +333,8 @@ class DirectionBasis:
 
 def identity_basis(dimension: int) -> DirectionBasis:
     """The standard basis: base direction e_1, shifts e_2 ... e_d."""
+    if dimension < 1:
+        raise InvalidBasisError(f"dimension must be >= 1, got {dimension}")
     eye = np.eye(dimension)
     return DirectionBasis(dimension, tuple(tuple(row) for row in eye))
 

@@ -47,7 +47,6 @@ from .model import (
 )
 from .oracle import Oracle, SequenceStream
 from .prony import (
-    DEFAULT_NODE_TOL,
     detect_sparsity,
     fit_coefficients,
     fit_nodes,
@@ -78,48 +77,39 @@ _JSON_TYPES = {"float": (int, float), "int": (int,),
 # the shift-ratio logs unreliable; the run aborts with a cancellation error.
 CANCELLATION_RTOL = 1e-12
 
+# The known-n driver's base rank threshold, deliberately stricter than
+# ``RecoveryConfig.rank_rel_tol``: it only needs to tell structural rank
+# deficiency (singular values at roundoff level) from benign ill-conditioning.
+COLLISION_RTOL = 1e-10
+NODE_TOL = 1e-6  # nodes closer than this times max |node| coincide
+# Exponents this close componentwise merge; a merged term is dropped when its
+# coefficient is this small relative to the largest one.
+MERGE_TOL = 1e-9
+RESCUE_EPSILON_SCALE = 1e-2  # rescue shift norm relative to the base direction
+# A level redraws its multipliers or weights up to MAX_LEVEL_RETRIES times
+# while its shift system's condition estimate exceeds LEVEL_CONDITION_LIMIT.
+# The limit is below 1 / linalg.SINGULAR_RTOL (about 4.5e12), so an accepted
+# matrix is not singular to working tolerance.
+MAX_LEVEL_RETRIES = 4
+LEVEL_CONDITION_LIMIT = 1e12
+
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Tunable knobs of the recovery drivers.
-
-    ``collision_rel_tol`` is deliberately stricter than ``rank_rel_tol``:
-    the fixed-budget driver only needs to tell structural rank deficiency
-    (singular values at roundoff level) from benign ill-conditioning.
-    """
+    """Tunable knobs of the recovery drivers.  The method's own tolerances
+    are the module constants above."""
 
     rank_rel_tol: float = linalg.DEFAULT_RANK_RTOL
-    gap_factor: float = linalg.DEFAULT_GAP_FACTOR
-    node_tol: float = DEFAULT_NODE_TOL
-    collision_rel_tol: float = 1e-10
-    merge_tol: float = 1e-9
     max_terms: int = 16
     budget_cap: int | None = None
     rescue_k_max: int = 0
-    rescue_epsilon_scale: float = 1e-2
     seed: int = 0
-    max_level_retries: int = 4
-    level_condition_limit: float = 1e12
 
     def __post_init__(self):
-        positive = {
-            "rank_rel_tol": self.rank_rel_tol,
-            "gap_factor": self.gap_factor,
-            "node_tol": self.node_tol,
-            "collision_rel_tol": self.collision_rel_tol,
-            "rescue_epsilon_scale": self.rescue_epsilon_scale,
-            "level_condition_limit": self.level_condition_limit,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise InputError(f"{name} must be positive, got {value}")
-        if self.level_condition_limit * linalg.SINGULAR_RTOL >= 1.0:
+        if self.rank_rel_tol <= 0:
             raise InputError(
-                "level_condition_limit must be below 1 / SINGULAR_RTOL = "
-                f"{1 / linalg.SINGULAR_RTOL:.3e}, got {self.level_condition_limit}"
+                f"rank_rel_tol must be positive, got {self.rank_rel_tol}"
             )
-        if self.merge_tol < 0:
-            raise InputError("merge_tol must be >= 0")
         if self.max_terms < 1:
             raise InputError("max_terms must be >= 1")
         if self.budget_cap is not None and self.budget_cap < 1:
@@ -326,8 +316,9 @@ def disentangle_pile(pile_sequence, r: int):
     return sub_nodes, sub_coeffs
 
 
-def default_rescue_epsilon(direction, scale: float = 1e-2, seed: int = 0) -> np.ndarray:
-    """Seeded pseudo-random parallel-shift vector with norm scale*||direction||."""
+def default_rescue_epsilon(direction, seed: int = 0) -> np.ndarray:
+    """Seeded pseudo-random parallel-shift vector with norm
+    RESCUE_EPSILON_SCALE * ||direction||."""
     direction = np.asarray(direction, dtype=float)
     rng = np.random.default_rng(seed)
     for _ in range(16):
@@ -335,7 +326,7 @@ def default_rescue_epsilon(direction, scale: float = 1e-2, seed: int = 0) -> np.
         norm = np.linalg.norm(eps)
         if norm == 0:
             continue
-        eps = eps / norm * scale * np.linalg.norm(direction)
+        eps = eps / norm * RESCUE_EPSILON_SCALE * np.linalg.norm(direction)
         if direction.size == 1 or _not_parallel(direction, eps):
             return eps
     raise InputError("could not draw a shift vector independent of direction")
@@ -355,7 +346,6 @@ def cancellation_rescue(
     nu_prev: int,
     max_terms: int | None = None,
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
-    gap_factor: float = linalg.DEFAULT_GAP_FACTOR,
 ) -> tuple[RankDecision, SequenceStream]:
     """Probe parallel shifts of the base line for terms hidden by cancellation.
 
@@ -380,7 +370,7 @@ def cancellation_rescue(
     for k in shifts:
         stream = SequenceStream(oracle, k * eps, direction)
         try:
-            decision = detect_sparsity(stream.value_at, max_terms, rel_tol, gap_factor)
+            decision = detect_sparsity(stream.value_at, max_terms, rel_tol)
         except SparsityUndetectedError:
             decision = RankDecision(max_terms, (), 0.0, False)
         if best is None or (decision.confident, decision.rank) > (
@@ -396,14 +386,14 @@ def _node_sort_order(logs) -> np.ndarray:
     return np.lexsort((nodes.imag, nodes.real))
 
 
-def _merge_close_nodes(logs, coeffs, node_tol):
-    """Cluster logs whose nodes sit closer than node_tol * max|node|."""
+def _merge_close_nodes(logs, coeffs):
+    """Cluster logs whose nodes sit closer than NODE_TOL * max|node|."""
     nodes = np.exp(np.asarray(logs, dtype=complex))
     scale = float(np.max(np.abs(nodes)))
     groups: list[list[int]] = []
     for j in range(len(nodes)):
         for group in groups:
-            if abs(nodes[group[0]] - nodes[j]) <= node_tol * scale:
+            if abs(nodes[group[0]] - nodes[j]) <= NODE_TOL * scale:
                 group.append(j)
                 break
         else:
@@ -465,12 +455,12 @@ class _BudgetedOracle:
         return self.oracle.sample_many(points)
 
 
-def _model(exponents, coefficients, config) -> ExponentialModel:
+def _model(exponents, coefficients) -> ExponentialModel:
     """Canonical model of the terms pairing each coefficient with its row of
     the (terms, d) ``exponents`` array."""
     terms = tuple(map(Term, coefficients, exponents.tolist()))
     return canonicalize(
-        ExponentialModel(exponents.shape[1], terms), merge_tol=config.merge_tol
+        ExponentialModel(exponents.shape[1], terms), MERGE_TOL
     )
 
 
@@ -503,10 +493,9 @@ def recover_known_n(
     Requires the base direction to separate all n terms; a rank deficiency
     or a pair of nearly coincident nodes raises
     :class:`CollisionDetectedError`, directing the caller to
-    :func:`recover_unknown_n`.
+    :func:`recover_unknown_n`.  No ``config`` field applies to this path;
+    the parameter mirrors :func:`recover_unknown_n`.
     """
-    if config is None:
-        config = RecoveryConfig()
     if n < 1:
         raise InputError("n must be >= 1")
     _check_oracle(oracle, basis)
@@ -516,7 +505,7 @@ def recover_known_n(
     values = oracle.sample_many(base_points)
 
     decision = linalg.numerical_rank(
-        linalg.hankel(values, n, n), config.collision_rel_tol, config.gap_factor
+        linalg.hankel(values, n, n), COLLISION_RTOL
     )
     if decision.rank < n:
         raise CollisionDetectedError(
@@ -536,7 +525,7 @@ def recover_known_n(
         scale = float(np.max(np.abs(nodes)))
         gaps = np.abs(nodes[:, None] - nodes[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if gaps.min() <= config.node_tol * scale:
+        if gaps.min() <= NODE_TOL * scale:
             raise CollisionDetectedError(
                 "two base nodes nearly coincide; use recover_unknown_n",
                 nu=n - 1,
@@ -561,7 +550,7 @@ def recover_known_n(
         aggregates = np.linalg.solve(matrices, shift_values.reshape(d - 1, n, 1))
         inner = np.vstack([inner, take_logs(aggregates[..., 0] / alphas)])
     levels = [LevelState(inner.T[:, : i + 1], alphas) for i in range(d)]
-    model = _model(assemble_exponents(inner.T, basis), alphas, config)
+    model = _model(assemble_exponents(inner.T, basis), alphas)
     return _report(model, *oracle.ledger.arrays(start), levels, (decision,),
                    (), alphas, values[0])
 
@@ -588,7 +577,7 @@ def recover_unknown_n(
     base_dir = basis.direction(0)
     base = SequenceStream(budgeted, np.zeros(d), base_dir)
     decision0 = detect_sparsity(
-        base.value_at, config.max_terms, config.rank_rel_tol, config.gap_factor
+        base.value_at, config.max_terms, config.rank_rel_tol
     )
     rank_decisions.append(decision0)
     nu = decision0.rank
@@ -599,12 +588,10 @@ def recover_unknown_n(
 
     fit_stream = base
     if config.rescue_k_max > 0:
-        epsilon = default_rescue_epsilon(
-            base_dir, config.rescue_epsilon_scale, config.seed
-        )
+        epsilon = default_rescue_epsilon(base_dir, config.seed)
         rescue_decision, rescue_stream = cancellation_rescue(
             budgeted, base_dir, epsilon, config.rescue_k_max, nu,
-            config.max_terms, config.rank_rel_tol, config.gap_factor,
+            config.max_terms, config.rank_rel_tol,
         )
         rank_decisions.append(rescue_decision)
         if rescue_decision.rank > nu:
@@ -622,9 +609,7 @@ def recover_unknown_n(
     # pile coefficient sums always come from the unshifted base line
     base.ensure(2 * nu)
     coeff_sums = fit_coefficients(logs, base.values)
-    logs, coeff_sums, merged = _merge_close_nodes(
-        logs, coeff_sums, config.node_tol
-    )
+    logs, coeff_sums, merged = _merge_close_nodes(logs, coeff_sums)
     if merged:
         nu = len(logs)
         warnings.append(
@@ -642,14 +627,13 @@ def recover_unknown_n(
         kappas = basis.multipliers_for(i, nu_prev)
         weights = basis.weights_for(i)
         matrix = None
-        for attempt in range(config.max_level_retries + 1):
+        for attempt in range(MAX_LEVEL_RETRIES + 1):
             omegas = np.sum(inner * weights, axis=1)
             candidate = linalg.vandermonde(omegas, kappas)
             cond = linalg.condition_estimate(candidate)
-            if cond <= config.level_condition_limit:
-                # RecoveryConfig keeps the limit below 1 / SINGULAR_RTOL, so
-                # an accepted matrix is not singular to working tolerance
-                # and the solves below can trust this SVD's verdict
+            if cond <= LEVEL_CONDITION_LIMIT:
+                # the limit is below 1 / SINGULAR_RTOL, so the solves below
+                # can trust this SVD's verdict
                 matrix = candidate
                 break
             if attempt % 2 == 0:
@@ -662,7 +646,7 @@ def recover_unknown_n(
         if matrix is None:
             raise SingularMatrixError(
                 f"level {i} shift system stayed singular after "
-                f"{config.max_level_retries} retries"
+                f"{MAX_LEVEL_RETRIES} retries"
             )
 
         # row j: pile j's sequence, one column per shift step s
@@ -712,7 +696,6 @@ def recover_unknown_n(
                 pile_decision = linalg.rank_from_singular_values(
                     pile_svs[j],
                     config.rank_rel_tol,
-                    config.gap_factor,
                     scale=level_scale,
                 )
                 if pile_decision.rank == 0:
@@ -762,7 +745,7 @@ def recover_unknown_n(
                 sub_nodes, sub_coeffs = disentangle_pile(seq, r)
             sub_logs = take_logs(sub_nodes)
             sub_logs, sub_coeffs, merged = _merge_close_nodes(
-                sub_logs, sub_coeffs, config.node_tol
+                sub_logs, sub_coeffs
             )
             if merged:
                 warnings.append(
@@ -780,7 +763,7 @@ def recover_unknown_n(
         inner, sums = inner[order], np.concatenate(new_sums)[order]
         levels.append(LevelState(inner, sums, tuple(ranks)))
 
-    provisional = _model(assemble_exponents(inner, basis), sums, config)
+    provisional = _model(assemble_exponents(inner, basis), sums)
 
     # final coefficients: least squares over every sample this run consumed
     points, observed = oracle.ledger.arrays(budgeted.start)
@@ -789,7 +772,7 @@ def recover_unknown_n(
         final_alphas = linalg.solve_least_squares(
             design, observed, rcond=config.rank_rel_tol
         )
-        model = _model(provisional.exponent_matrix(), final_alphas, config)
+        model = _model(provisional.exponent_matrix(), final_alphas)
     except RankDeficiencyError:
         warnings.append(
             "final coefficient refit was rank deficient; keeping the "

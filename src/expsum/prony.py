@@ -21,16 +21,11 @@ from .errors import (
 )
 from .linalg import RankDecision
 
-# Relative node separation below which two nodes count as colliding and the
-# instance is deferred to the collision-aware driver.
-DEFAULT_NODE_TOL = 1e-6
-
 
 def detect_sparsity(
     value_at: Callable[[int], complex],
     max_terms: int,
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
-    gap_factor: float = linalg.DEFAULT_GAP_FACTOR,
 ) -> RankDecision:
     """Detect the number of distinguishable terms in a sampled sequence.
 
@@ -41,7 +36,7 @@ def detect_sparsity(
 
     Raises :class:`SparsityUndetectedError` when no deficiency appears up
     to ``max_terms``; returns a non-confident decision if a deficiency was
-    seen but its singular-value gap stayed below ``gap_factor``.
+    seen but its singular-value gap stayed below ``linalg.GAP_FACTOR``.
     """
     if max_terms < 1:
         raise InputError("max_terms must be >= 1")
@@ -52,7 +47,7 @@ def detect_sparsity(
         last = value_at(2 * m)
         values += [value_at(2 * m - 1), last]
         decision = linalg.numerical_rank(
-            linalg.hankel(values, m + 1, m + 1), rel_tol, gap_factor
+            linalg.hankel(values, m + 1, m + 1), rel_tol
         )
         if decision.rank <= m:
             if decision.confident:

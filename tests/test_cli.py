@@ -242,22 +242,35 @@ def test_malformed_json_input_exits_with_input_error(tmp_path, capsys, command,
     assert payload["message"].startswith(f"{bad}: not a JSON document: ")
 
 
-@pytest.mark.parametrize("command, text", [
-    ("model", '{"dimension": "x", "terms": []}'),
+# former RecoveryConfig fields, now constants of expsum.linalg and multivar
+REMOVED_RECOVERY_KEYS = (
+    "gap_factor", "node_tol", "collision_rel_tol", "merge_tol",
+    "rescue_epsilon_scale", "max_level_retries", "level_condition_limit",
+)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("model", '{"dimension": "x", "terms": []}', None),
     ("model", '{"dimension": 1.9, "terms": '
-              '[{"coeff": [1, 0], "exponent": [[0, 1]]}]}'),
-    ("verify", '{"dimension": "x", "terms": []}'),
-    ("config", '[1, [2]]'),
-    ("config", '{"recovery": []}'),
-    ("config", '{"recovery": {"max_terms": "x"}}'),
-    ("config", '{"basis": {"directions": [[1.0]], "multipliers": {"a": [1]}}}'),
-    ("config", '{"io": {"out": [1, 2]}}'),
-    ("config", '{"recovery": {"node_method": "generalized_eig"}}'),
+              '[{"coeff": [1, 0], "exponent": [[0, 1]]}]}', None),
+    ("verify", '{"dimension": "x", "terms": []}', None),
+    ("config", '[1, [2]]', None),
+    ("config", '{"recovery": []}', None),
+    ("config", '{"recovery": {"max_terms": "x"}}', None),
+    ("config", '{"basis": {"directions": [[1.0]], "multipliers": {"a": [1]}}}',
+     None),
+    ("config", '{"io": {"out": [1, 2]}}', None),
+    ("config", '{"recovery": {"node_method": "generalized_eig"}}', None),
+] + [
+    ("config", json.dumps({"recovery": {key: 1}}),
+     f"unknown config keys: ['{key}']")
+    for key in REMOVED_RECOVERY_KEYS
 ], ids=["model-dimension", "model-float-dimension", "verify-dimension",
         "config-list", "recovery-list", "recovery-field",
-        "basis-multiplier-level", "io-path-list", "recovery-removed-field"])
+        "basis-multiplier-level", "io-path-list", "recovery-removed-field"]
+    + [f"recovery-{key}" for key in REMOVED_RECOVERY_KEYS])
 def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
-                                                       command, text):
+                                                       command, text, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     model_path = tmp_path / "model.json"
@@ -273,6 +286,8 @@ def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
     assert code == EXIT_INPUT
     payload = json.loads(err)
     assert payload["error_class"] == "InputError"
+    if message is not None:
+        assert payload["message"] == message
     assert not (tmp_path / "run").exists()
 
 
@@ -378,22 +393,6 @@ def test_recover_requires_exactly_one_source(tmp_path, capsys):
     assert json.loads(err)["error_class"] == "InputError"
 
 
-def test_recover_rejects_a_level_condition_limit_above_the_cap(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        [[1.0, 0.0], [0.0, 1.0]],
-        mode="unknown_n",
-        recovery={"level_condition_limit": 1e13},
-    )
-    code, _, err = run(
-        ["recover", "--config", cfg, "--model", tmp_path / "absent.json",
-         "--out", tmp_path / "run"],
-        capsys,
-    )
-    assert code == EXIT_INPUT
-    assert "level_condition_limit" in json.loads(err)["message"]
-
-
 def test_recover_overflowing_model_exits_with_input_error(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     ExponentialModel(
@@ -455,6 +454,29 @@ def test_recover_subnormal_data_stderr_is_one_json_object(tmp_path, source,
     )
     assert proc.returncode in (EXIT_INPUT, EXIT_NUMERICAL)
     assert isinstance(json.loads(proc.stderr), dict)
+
+
+@pytest.mark.parametrize("command, error_class", [
+    ("generate", "InvalidBasisError"), ("verify", "InputError"),
+], ids=["generate-negative-dimension", "verify-overflowing-exponents"])
+def test_parsed_input_that_defeats_numpy_exits_2_with_one_json_object(
+        tmp_path, command, error_class):
+    if command == "generate":
+        argv = ["generate", "--dimension", "-1", "--terms", "2",
+                "--out", str(tmp_path / "m.json")]
+    else:
+        # exponent differences above about 1e154 overflow the matching cost
+        argv = ["verify"]
+        for name, exponent in (("p.json", 1e200), ("q.json", -1e200)):
+            ExponentialModel(1, (Term(1.0, (exponent,)),)).save(tmp_path / name)
+            argv.append(str(tmp_path / name))
+    src = str(Path(expsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "expsum.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert json.loads(proc.stderr)["error_class"] == error_class
 
 
 def test_demo_command_passes(capsys):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expsum import (
     BudgetExceededError,
@@ -83,8 +85,13 @@ def test_known_n_collision_raises_with_nu():
     assert err.value.nu == 2
 
 
-def test_known_n_near_coincident_nodes_detected():
-    # separated enough to pass the rank checks, closer than node_tol
+def test_known_n_near_coincident_nodes_detected(monkeypatch):
+    # nodes about 1e-4 apart: on exact data the rank check already fails for
+    # nodes as close as the default NODE_TOL, so a looser rank threshold and
+    # a wider node tolerance let these pass the rank check and hit the node
+    # check instead
+    monkeypatch.setattr("expsum.multivar.COLLISION_RTOL", 1e-12)
+    monkeypatch.setattr("expsum.multivar.NODE_TOL", 1e-3)
     basis = identity_basis(2)
     model = ExponentialModel(
         2,
@@ -95,13 +102,8 @@ def test_known_n_near_coincident_nodes_detected():
         ),
     )
     oracle = SyntheticOracle(model)
-    with pytest.raises(CollisionDetectedError):
-        recover_known_n(
-            oracle,
-            basis,
-            3,
-            RecoveryConfig(collision_rel_tol=1e-12, node_tol=1e-3),
-        )
+    with pytest.raises(CollisionDetectedError, match="nearly coincide"):
+        recover_known_n(oracle, basis, 3)
 
 
 def test_known_n_tiny_coefficient_flags_cancellation():
@@ -333,6 +335,27 @@ def test_budget_bound_values():
     # enumerate nu (5 - nu) over nu = 1..4: maximum 6
     assert budget_bound(2, 4) == 4 * 3 * 6
     assert 19 <= budget_bound(2, 4)
+    # n = 10**7: the maximum sits at nu = n / 2, giving (n / 2) (n / 2 + 1)
+    assert budget_bound(1, 10**7) == 4 * 2 * (5 * 10**6) * (5 * 10**6 + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-300, 300))
+@example(k=-300)
+@example(k=-10)
+@example(k=300)
+def test_both_drivers_recover_a_model_at_any_scale(k):
+    # coefficients (1, 2, -1.5) * 10**k: every rank, merge and drop decision
+    # is relative, so the scale of the data must not change the recovery
+    exponents = ((0.1 + 0.3j, 0.2j), (-0.1 + 1.1j, -0.5j), (0.05 - 0.7j, 0.9j))
+    model = ExponentialModel(2, tuple(
+        Term(c * 10.0**k, e) for c, e in zip((1.0, 2.0, -1.5), exponents)
+    ))
+    basis = identity_basis(2)
+    for report in (recover_known_n(SyntheticOracle(model), basis, 3),
+                   recover_unknown_n(SyntheticOracle(model), basis)):
+        assert report.model.n_terms == 3
+        assert model_error(report.model, model) < 1e-10
 
 
 def test_conservation_and_residual_reports():
