@@ -6,7 +6,7 @@ base direction and d-1 further shift directions, using the minimal budget of
 are collision-free, and an adaptive Hankel-rank-driven schedule otherwise.
 """
 
-from ._schedule import BUDGET_CONSTANT, budget_bound
+from ._schedule import budget_bound
 from .errors import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -25,15 +25,7 @@ from .errors import (
     SingularMatrixError,
     SparsityUndetectedError,
 )
-from .linalg import (
-    RankDecision,
-    generalized_eigenvalues,
-    hankel,
-    numerical_rank,
-    solve,
-    solve_least_squares,
-    vandermonde,
-)
+from .linalg import RankDecision
 from .model import (
     DirectionBasis,
     ExponentialModel,
@@ -47,12 +39,8 @@ from .multivar import (
     LevelState,
     RecoveryConfig,
     RecoveryReport,
-    assemble_exponents,
-    cancellation_rescue,
-    disentangle_pile,
     recover_known_n,
     recover_unknown_n,
-    solve_shift_system,
 )
 from .oracle import (
     NoisyOracle,
@@ -62,12 +50,6 @@ from .oracle import (
     SyntheticOracle,
     TabulatedOracle,
     plan_points,
-)
-from .prony import (
-    detect_sparsity,
-    fit_coefficients,
-    fit_nodes,
-    take_logs,
 )
 
 __version__ = "0.1.0"

@@ -13,12 +13,12 @@ from .errors import InputError
 BUDGET_CONSTANT = 4
 
 
-def budget_bound(d: int, n: int, constant: int = BUDGET_CONSTANT) -> int:
+def budget_bound(d: int, n: int) -> int:
     """Default sample cap for an adaptive run: C (d+1) max_nu nu (n - nu + 1),
     with the maximum taken in closed form at nu = ceil(n / 2)."""
     if d < 1 or n < 1:
         raise InputError("budget_bound needs d >= 1 and n >= 1")
-    return constant * (d + 1) * ((n + 1) // 2) * ((n + 2) // 2)
+    return BUDGET_CONSTANT * (d + 1) * ((n + 1) // 2) * ((n + 2) // 2)
 
 
 def line_points(origin, step, start: int, stop: int) -> np.ndarray:

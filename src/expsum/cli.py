@@ -132,7 +132,7 @@ def cmd_generate(args) -> int:
             f"config basis dimension {basis.dimension} != requested "
             f"{args.dimension}"
         )
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)  # checked by RecoveryConfig
     model = random_model(
         args.dimension,
         args.terms,
@@ -194,7 +194,7 @@ def cmd_recover(args) -> int:
     if config.mode == "known_n":
         if config.n is None:
             raise InputError("known_n mode requires n (--known-n)")
-        report = recover_known_n(oracle, config.basis, config.n, config.recovery)
+        report = recover_known_n(oracle, config.basis, config.n)
     else:
         report = recover_unknown_n(oracle, config.basis, config.recovery)
 
@@ -254,9 +254,12 @@ def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
     for r, c in zip(rows, cols):
         scale = max(float(np.linalg.norm(ea[r])), 1e-12)
         exp_err = max(exp_err, float(cost[r, c]) / scale)
-        coeff_err = max(
-            coeff_err, abs(ca[r] - cb[c]) / max(abs(ca[r]), 1e-12)
-        )
+        with np.errstate(over="ignore"):
+            coeff_err = max(
+                coeff_err, abs(ca[r] - cb[c]) / max(abs(ca[r]), 1e-12)
+            )
+    if not np.isfinite(coeff_err):
+        raise InputError("coefficient differences overflow; cannot compare")
     result["max_exponent_rel_err"] = exp_err
     result["max_coefficient_rel_err"] = coeff_err
     result["match"] = bool(exp_err <= tol and coeff_err <= tol)
@@ -264,6 +267,8 @@ def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise InputError(f"--tol must be finite and >= 0, got {args.tol}")
     report = verify_models(
         ExponentialModel.load(args.model_a),
         ExponentialModel.load(args.model_b),

@@ -21,8 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _json, linalg
-from ._schedule import (BUDGET_CONSTANT, budget_bound, known_n_points,
-                        level_points)
+from ._schedule import budget_bound, known_n_points, level_points
 from .errors import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -52,21 +51,6 @@ from .prony import (
     fit_nodes,
     take_logs,
 )
-
-__all__ = [
-    "RecoveryConfig",
-    "LevelState",
-    "RecoveryReport",
-    "recover_known_n",
-    "recover_unknown_n",
-    "solve_shift_system",
-    "assemble_exponents",
-    "disentangle_pile",
-    "cancellation_rescue",
-    "sample_residuals",
-    "budget_bound",
-    "BUDGET_CONSTANT",
-]
 
 # The JSON values a RecoveryConfig field of each annotated type accepts; a
 # boolean is not a number here.
@@ -116,6 +100,8 @@ class RecoveryConfig:
             raise InputError("budget_cap must be >= 1 when set")
         if self.rescue_k_max < 0:
             raise InputError("rescue_k_max must be >= 0")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -225,14 +211,20 @@ def _re_im(z: np.ndarray) -> np.ndarray:
 
 def _shift_matrices(logs, multipliers) -> np.ndarray:
     """The matrices exp(multipliers[..., l] * logs[j]), one per leading index
-    of ``multipliers``, after one stacked SVD shows none of them singular."""
+    of ``multipliers``, after one stacked SVD shows none of them singular.
+    A matrix that overflows counts as singular."""
     lg = np.asarray(logs, dtype=complex)
     kappas = np.asarray(multipliers, dtype=float)
     if lg.ndim != 1 or kappas.shape[-1:] != lg.shape:
         raise InputError(
             f"need {lg.size} multipliers per system, got shape {kappas.shape}"
         )
-    matrices = np.exp(kappas[..., :, None] * lg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = np.exp(kappas[..., :, None] * lg)
+    if not np.isfinite(matrices).all():
+        raise SingularMatrixError(
+            "shift system overflows; use smaller multipliers"
+        )
     sv = np.linalg.svd(matrices, compute_uv=False)
     singular = sv[..., -1] <= linalg.SINGULAR_RTOL * sv[..., 0]
     if np.any(singular):
@@ -343,8 +335,7 @@ def cancellation_rescue(
     direction,
     epsilon,
     k_max: int,
-    nu_prev: int,
-    max_terms: int | None = None,
+    max_terms: int,
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
 ) -> tuple[RankDecision, SequenceStream]:
     """Probe parallel shifts of the base line for terms hidden by cancellation.
@@ -362,23 +353,18 @@ def cancellation_rescue(
         raise InputError("k_max must be >= 0")
     if k_max >= 1 and not _not_parallel(direction, eps):
         raise InputError("epsilon must not be parallel to the direction")
-    if max_terms is None:
-        max_terms = nu_prev + 4
-    shifts = range(1, k_max + 1) if k_max >= 1 else [0]
-    best = None
-    best_stream = None
-    for k in shifts:
+
+    def probe(k):
         stream = SequenceStream(oracle, k * eps, direction)
         try:
-            decision = detect_sparsity(stream.value_at, max_terms, rel_tol)
+            return detect_sparsity(stream.value_at, max_terms, rel_tol), stream
         except SparsityUndetectedError:
-            decision = RankDecision(max_terms, (), 0.0, False)
-        if best is None or (decision.confident, decision.rank) > (
-            best.confident, best.rank
-        ):
-            best = decision
-            best_stream = stream
-    return best, best_stream
+            return RankDecision(max_terms, (), 0.0, False), stream
+
+    # the shifts are probed in order; the first best decision wins
+    shifts = range(1, k_max + 1) if k_max >= 1 else [0]
+    return max(map(probe, shifts),
+               key=lambda probed: (probed[0].confident, probed[0].rank))
 
 
 def _node_sort_order(logs) -> np.ndarray:
@@ -429,30 +415,44 @@ def _check_oracle(oracle, basis):
         )
 
 
-class _BudgetedOracle:
-    """An oracle seen through a sample budget: ``sample_many`` charges the
-    whole batch before it draws; ``levels`` is reported as the partial."""
+class _Run:
+    """The record of one adaptive run: its oracle seen through the sample
+    budget, the rng that redraws ill-conditioned levels, and the levels,
+    rank decisions and warnings its report is built from.  ``sample_many``
+    charges the whole batch before it draws; ``levels`` is reported as the
+    partial."""
 
-    def __init__(self, oracle: Oracle, cap: int, levels: list):
-        self.oracle, self.cap, self.levels = oracle, cap, levels
+    def __init__(self, oracle: Oracle, basis: DirectionBasis,
+                 config: RecoveryConfig):
+        self.oracle, self.basis, self.config = oracle, basis, config
+        self.cap = config.budget_cap or budget_bound(basis.dimension,
+                                                     config.max_terms)
+        self.rng = np.random.default_rng(config.seed)
+        self.levels: list[LevelState] = []
+        self.decisions: list[RankDecision] = []
+        self.warnings: list[str] = []
         self.start = oracle.ledger.count
 
-    @property
-    def spent(self) -> int:
-        return self.oracle.ledger.count - self.start
-
     def sample_many(self, points) -> np.ndarray:
-        if self.spent + len(points) > self.cap:
+        spent = self.oracle.ledger.count - self.start
+        if spent + len(points) > self.cap:
             raise BudgetExceededError(
                 f"sample budget cap {self.cap} would be exceeded "
-                f"(spent {self.spent}, requesting {len(points)} more)",
-                samples_used=self.spent,
+                f"(spent {spent}, requesting {len(points)} more)",
+                samples_used=spent,
                 partial={
                     "levels_completed": len(self.levels),
                     "pile_counts": [lv.pile_count for lv in self.levels],
                 },
             )
         return self.oracle.sample_many(points)
+
+    def settle(self, ranks, j: int, rank: int, decision, warning=None):
+        """Fix pile j's rank, keeping the decision behind it and a warning."""
+        ranks[j] = rank
+        self.decisions.append(decision)
+        if warning:
+            self.warnings.append(warning)
 
 
 def _model(exponents, coefficients) -> ExponentialModel:
@@ -482,19 +482,14 @@ def _report(model, points, values, levels, decisions, warnings, alphas, f0):
     )
 
 
-def recover_known_n(
-    oracle: Oracle,
-    basis: DirectionBasis,
-    n: int,
-    config: RecoveryConfig | None = None,
-) -> RecoveryReport:
+def recover_known_n(oracle: Oracle, basis: DirectionBasis,
+                    n: int) -> RecoveryReport:
     """Recover an n-term model from exactly (d+1) n samples.
 
     Requires the base direction to separate all n terms; a rank deficiency
     or a pair of nearly coincident nodes raises
     :class:`CollisionDetectedError`, directing the caller to
-    :func:`recover_unknown_n`.  No ``config`` field applies to this path;
-    the parameter mirrors :func:`recover_unknown_n`.
+    :func:`recover_unknown_n`.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -555,233 +550,243 @@ def recover_known_n(
                    (), alphas, values[0])
 
 
-def recover_unknown_n(
-    oracle: Oracle,
-    basis: DirectionBasis,
-    config: RecoveryConfig | None = None,
-) -> RecoveryReport:
-    """Adaptive recovery with unknown term count and colliding projections."""
+def recover_unknown_n(oracle: Oracle, basis: DirectionBasis,
+                      config: RecoveryConfig | None = None) -> RecoveryReport:
+    """Adaptive recovery with unknown term count and colliding projections.
+
+    The base stage fits the level-0 piles.  Each further direction i then
+    solves level i's shift system, grows the pile sequences until every
+    pile's rank is settled, and splits the piles.  A least-squares refit over
+    every sample drawn gives the final coefficients.
+    """
     if config is None:
         config = RecoveryConfig()
     _check_oracle(oracle, basis)
-    d = basis.dimension
-    rng = np.random.default_rng(config.seed)
-    cap = config.budget_cap
-    if cap is None:
-        cap = budget_bound(d, config.max_terms)
-    warnings: list[str] = []
-    rank_decisions: list[RankDecision] = []
-    levels: list[LevelState] = []
-    budgeted = _BudgetedOracle(oracle, cap, levels)
+    run = _Run(oracle, basis, config)
+    base_alphas, f0 = _base_stage(run)
+    for i in range(1, basis.dimension):
+        inner = run.levels[-1].inner_products
+        matrix, weights, kappas = _level_system(run, i, inner)
+        sequences, ranks = _pile_sequences(
+            run, i, matrix, weights, kappas, run.levels[-1].coefficient_sums
+        )
+        _split_piles(run, i, inner, sequences, ranks)
+    return _final_refit(run, base_alphas, f0)
 
-    base_dir = basis.direction(0)
-    base = SequenceStream(budgeted, np.zeros(d), base_dir)
-    decision0 = detect_sparsity(
+
+def _base_stage(run: _Run):
+    """Detect the base rank, rescued from cancellation when configured, fit
+    the base nodes and the pile coefficient sums, merge coincident nodes,
+    and record level 0.  Returns the base coefficients and the first base
+    sample, which they should sum to."""
+    config, base_dir = run.config, run.basis.direction(0)
+    base = SequenceStream(run, np.zeros(run.basis.dimension), base_dir)
+    decision = detect_sparsity(
         base.value_at, config.max_terms, config.rank_rel_tol
     )
-    rank_decisions.append(decision0)
-    nu = decision0.rank
-    if not decision0.confident:
-        warnings.append(
+    run.decisions.append(decision)
+    nu = decision.rank
+    if not decision.confident:
+        run.warnings.append(
             f"base rank {nu} is not confident; continuing with best guess"
         )
 
     fit_stream = base
     if config.rescue_k_max > 0:
         epsilon = default_rescue_epsilon(base_dir, config.seed)
-        rescue_decision, rescue_stream = cancellation_rescue(
-            budgeted, base_dir, epsilon, config.rescue_k_max, nu,
-            config.max_terms, config.rank_rel_tol,
+        rescued, rescue_stream = cancellation_rescue(
+            run, base_dir, epsilon, config.rescue_k_max, config.max_terms,
+            config.rank_rel_tol,
         )
-        rank_decisions.append(rescue_decision)
-        if rescue_decision.rank > nu:
-            warnings.append(
+        run.decisions.append(rescued)
+        if rescued.rank > nu:
+            run.warnings.append(
                 f"cancellation rescue raised the term count {nu} -> "
-                f"{rescue_decision.rank}"
+                f"{rescued.rank}"
             )
-            nu = rescue_decision.rank
-            fit_stream = rescue_stream
+            nu, fit_stream = rescued.rank, rescue_stream
 
     fit_stream.ensure(2 * nu)
-    nodes = fit_nodes(fit_stream.values, nu)
-    logs = take_logs(nodes)
-
+    logs = take_logs(fit_nodes(fit_stream.values, nu))
     # pile coefficient sums always come from the unshifted base line
     base.ensure(2 * nu)
-    coeff_sums = fit_coefficients(logs, base.values)
-    logs, coeff_sums, merged = _merge_close_nodes(logs, coeff_sums)
+    logs, alphas, merged = _merge_close_nodes(
+        logs, fit_coefficients(logs, base.values)
+    )
     if merged:
-        nu = len(logs)
-        warnings.append(
-            f"nearly coincident base nodes merged; continuing with {nu} piles"
+        run.warnings.append(
+            f"nearly coincident base nodes merged; continuing with "
+            f"{len(logs)} piles"
         )
-
-    # the piles: row j of ``inner`` holds pile j's inner products with the
-    # directions so far, ``sums[j]`` its coefficient sum
+    # the piles: row j of ``inner_products`` holds pile j's inner products
+    # with the directions so far, ``coefficient_sums[j]`` its coefficient sum
     order = _node_sort_order(logs)
-    inner, sums = logs[order][:, None], coeff_sums[order]
-    levels.append(LevelState(inner, sums))
+    run.levels.append(LevelState(logs[order][:, None], alphas[order]))
+    return alphas, base.values[0]
 
-    for i in range(1, d):
-        nu_prev = len(sums)
-        kappas = basis.multipliers_for(i, nu_prev)
-        weights = basis.weights_for(i)
-        matrix = None
-        for attempt in range(MAX_LEVEL_RETRIES + 1):
-            omegas = np.sum(inner * weights, axis=1)
-            candidate = linalg.vandermonde(omegas, kappas)
-            cond = linalg.condition_estimate(candidate)
-            if cond <= LEVEL_CONDITION_LIMIT:
-                # the limit is below 1 / SINGULAR_RTOL, so the solves below
-                # can trust this SVD's verdict
-                matrix = candidate
-                break
-            if attempt % 2 == 0:
-                kappas = _redraw_multipliers(rng, nu_prev)
-            else:
-                weights = _perturb_weights(rng, weights)
-            warnings.append(
-                f"level {i} shift system ill-conditioned; retry {attempt + 1}"
-            )
-        if matrix is None:
-            raise SingularMatrixError(
-                f"level {i} shift system stayed singular after "
-                f"{MAX_LEVEL_RETRIES} retries"
-            )
 
-        # row j: pile j's sequence, one column per shift step s
-        sequences = sums[:, None]
-        certified = [False] * nu_prev
-        ranks = [0] * nu_prev
-        fallbacks: list[RankDecision | None] = [None] * nu_prev
-        max_pile = config.max_terms - nu_prev + 1
-        m_size = 0
-        while not all(certified):
-            m_size += 1
-            if m_size > max_pile:
-                # out of room: settle for the best deficiency seen, if any
-                for j in range(nu_prev):
-                    if certified[j]:
-                        continue
-                    if fallbacks[j] is None or fallbacks[j].rank == 0:
-                        raise SparsityUndetectedError(
-                            f"a pile at level {i} exceeds the remaining "
-                            f"term budget ({max_pile}); raise max_terms"
-                        )
-                    certified[j] = True
-                    ranks[j] = fallbacks[j].rank
-                    rank_decisions.append(fallbacks[j])
-                    warnings.append(
-                        f"pile {j} at level {i}: accepting non-confident "
-                        f"rank {fallbacks[j].rank} at the size cap"
-                    )
-                break
-            # shift steps 2m-1 and 2m: one charge, one draw, one solve
-            steps = [2 * m_size - 1, 2 * m_size]
-            values = budgeted.sample_many(
-                level_points(basis, i, weights, kappas, steps)
-            )
-            solved = np.linalg.solve(matrix, values.reshape(2, nu_prev).T)
-            sequences = np.hstack([sequences, solved])
-            # pile matrices share one noise floor (they come from the same
-            # solves), so rank thresholds use the level's largest scale
-            idx = np.arange(m_size + 1)
-            pile_svs = np.linalg.svd(
-                sequences[:, idx[:, None] + idx], compute_uv=False
-            )
-            level_scale = float(pile_svs[:, 0].max())
-            for j in range(nu_prev):
-                if certified[j]:
-                    continue
-                pile_decision = linalg.rank_from_singular_values(
-                    pile_svs[j],
-                    config.rank_rel_tol,
-                    scale=level_scale,
-                )
-                if pile_decision.rank == 0:
-                    # an all-zero window can hide terms; keep growing, and
-                    # at the size cap fall back to a single merged term
-                    fallbacks[j] = fallbacks[j] or pile_decision
-                    if m_size == max_pile:
-                        certified[j] = True
-                        ranks[j] = 1
-                        rank_decisions.append(pile_decision)
-                        warnings.append(
-                            f"pile {j} at level {i} stayed below the noise "
-                            "floor; treating it as a single term"
-                        )
-                    continue
-                if pile_decision.rank <= m_size:
-                    if pile_decision.confident:
-                        certified[j] = True
-                        ranks[j] = pile_decision.rank
-                        rank_decisions.append(pile_decision)
-                    elif m_size == max_pile:
-                        certified[j] = True
-                        ranks[j] = pile_decision.rank
-                        rank_decisions.append(pile_decision)
-                        warnings.append(
-                            f"pile {j} at level {i}: accepting non-confident "
-                            f"rank {pile_decision.rank}"
-                        )
-                    else:
-                        fallbacks[j] = pile_decision
-
-        sub_counts, new_logs, new_sums = [], [], []
-        for j in range(nu_prev):
-            r = ranks[j]
-            seq = sequences[j]
-            try:
-                sub_nodes, sub_coeffs = disentangle_pile(seq, r)
-            except PencilDegenerateError:
-                if r <= 1:
-                    raise
-                warnings.append(
-                    f"pile {j} at level {i}: pencil degenerate at rank {r}, "
-                    f"retrying with {r - 1}"
-                )
-                r -= 1
-                ranks[j] = r
-                sub_nodes, sub_coeffs = disentangle_pile(seq, r)
-            sub_logs = take_logs(sub_nodes)
-            sub_logs, sub_coeffs, merged = _merge_close_nodes(
-                sub_logs, sub_coeffs
-            )
-            if merged:
-                warnings.append(
-                    f"pile {j} at level {i}: coincident sub-nodes merged"
-                )
-            sub_counts.append(len(sub_logs))
-            new_logs.append(sub_logs)
-            new_sums.append(sub_coeffs)
-        # each sub-pile inherits its pile's row and appends its sub-log;
-        # one stable sort orders the rows by their (Re, Im) pairs
-        inner = np.column_stack(
-            [np.repeat(inner, sub_counts, axis=0), np.concatenate(new_logs)]
+def _level_system(run: _Run, i: int, inner):
+    """Level i's shift matrix exp(kappa_l omega_j) on the accumulated inner
+    products omega = inner @ weights, with the weights and multipliers that
+    gave it.  While its condition estimate exceeds LEVEL_CONDITION_LIMIT,
+    the multipliers and the weights are redrawn in turn; a matrix that
+    overflows counts as singular."""
+    count = len(inner)
+    kappas = run.basis.multipliers_for(i, count)
+    weights = run.basis.weights_for(i)
+    for attempt in range(MAX_LEVEL_RETRIES + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = linalg.vandermonde(np.sum(inner * weights, axis=1), kappas)
+        # the limit is below 1 / SINGULAR_RTOL, so the solves of the pile
+        # sequences can trust this SVD's verdict
+        if (np.isfinite(matrix).all()
+                and linalg.condition_estimate(matrix) <= LEVEL_CONDITION_LIMIT):
+            return matrix, weights, kappas
+        if attempt % 2 == 0:
+            kappas = _redraw_multipliers(run.rng, count)
+        else:
+            weights = _perturb_weights(run.rng, weights)
+        run.warnings.append(
+            f"level {i} shift system ill-conditioned; retry {attempt + 1}"
         )
-        order = np.lexsort(_re_im(inner).reshape(len(inner), -1).T[::-1])
-        inner, sums = inner[order], np.concatenate(new_sums)[order]
-        levels.append(LevelState(inner, sums, tuple(ranks)))
+    raise SingularMatrixError(
+        f"level {i} shift system stayed singular after "
+        f"{MAX_LEVEL_RETRIES} retries"
+    )
 
-    provisional = _model(assemble_exponents(inner, basis), sums)
 
-    # final coefficients: least squares over every sample this run consumed
-    points, observed = oracle.ledger.arrays(budgeted.start)
-    design = exp_matrix(provisional, points)
+def _pile_sequences(run: _Run, i: int, matrix, weights, kappas, sums):
+    """Grow the pile sequences along direction i, two shift steps at a time,
+    until a confident deficiency of each pile's Hankel matrix settles its
+    rank; returns the sequences, one row per pile, and the ranks.  At the
+    size cap, max_terms - piles + 1, the best deficiency seen is accepted."""
+    count, config = len(sums), run.config
+    max_pile = config.max_terms - count + 1
+    if max_pile < 1:
+        raise SparsityUndetectedError(
+            f"level {i} starts with {count} piles, more than max_terms = "
+            f"{config.max_terms}"
+        )
+    sequences = sums[:, None]
+    ranks = [0] * count  # a settled pile has a positive rank
+    # each pile's latest non-confident deficiency, accepted at the size cap
+    fallbacks: list[RankDecision | None] = [None] * count
+    m_size = 0
+    while not all(ranks):
+        m_size += 1
+        at_cap = m_size == max_pile
+        # shift steps 2m-1 and 2m: one charge, one draw, one solve
+        steps = [2 * m_size - 1, 2 * m_size]
+        values = run.sample_many(level_points(run.basis, i, weights, kappas,
+                                              steps))
+        solved = np.linalg.solve(matrix, values.reshape(2, count).T)
+        sequences = np.hstack([sequences, solved])
+        # pile matrices share one noise floor (they come from the same
+        # solves), so rank thresholds use the level's largest scale
+        idx = np.arange(m_size + 1)
+        pile_svs = np.linalg.svd(
+            sequences[:, idx[:, None] + idx], compute_uv=False
+        )
+        level_scale = float(pile_svs[:, 0].max())
+        for j in range(count):
+            if ranks[j]:
+                continue
+            decision = linalg.rank_from_singular_values(
+                pile_svs[j], config.rank_rel_tol, scale=level_scale
+            )
+            if decision.rank == 0:
+                # an all-zero window can hide terms; keep growing, and at
+                # the size cap fall back to a single merged term
+                if at_cap:
+                    run.settle(ranks, j, 1, decision,
+                               f"pile {j} at level {i} stayed below the "
+                               "noise floor; treating it as a single term")
+            elif decision.rank <= m_size:
+                if decision.confident:
+                    run.settle(ranks, j, decision.rank, decision)
+                elif at_cap:
+                    run.settle(ranks, j, decision.rank, decision,
+                               f"pile {j} at level {i}: accepting "
+                               f"non-confident rank {decision.rank}")
+                else:
+                    fallbacks[j] = decision
+        if at_cap:
+            # out of room: settle for the best deficiency seen, if any
+            for j in range(count):
+                if ranks[j]:
+                    continue
+                if fallbacks[j] is None:
+                    raise SparsityUndetectedError(
+                        f"a pile at level {i} exceeds the remaining term "
+                        f"budget ({max_pile}); raise max_terms"
+                    )
+                run.settle(ranks, j, fallbacks[j].rank, fallbacks[j],
+                           f"pile {j} at level {i}: accepting non-confident "
+                           f"rank {fallbacks[j].rank} at the size cap")
+    return sequences, ranks
+
+
+def _split_piles(run: _Run, i: int, inner, sequences, ranks) -> None:
+    """Split every pile into the sub-piles its sequence resolves and record
+    level i; a degenerate pencil retries one rank lower."""
+    sub_counts, new_logs, new_sums = [], [], []
+    for j, seq in enumerate(sequences):
+        r = ranks[j]
+        try:
+            sub_nodes, sub_coeffs = disentangle_pile(seq, r)
+        except PencilDegenerateError:
+            if r <= 1:
+                raise
+            run.warnings.append(
+                f"pile {j} at level {i}: pencil degenerate at rank {r}, "
+                f"retrying with {r - 1}"
+            )
+            r = ranks[j] = r - 1
+            sub_nodes, sub_coeffs = disentangle_pile(seq, r)
+        sub_logs, sub_coeffs, merged = _merge_close_nodes(
+            take_logs(sub_nodes), sub_coeffs
+        )
+        if merged:
+            run.warnings.append(
+                f"pile {j} at level {i}: coincident sub-nodes merged"
+            )
+        sub_counts.append(len(sub_logs))
+        new_logs.append(sub_logs)
+        new_sums.append(sub_coeffs)
+    # each sub-pile inherits its pile's row and appends its sub-log;
+    # one stable sort orders the rows by their (Re, Im) pairs
+    inner = np.column_stack(
+        [np.repeat(inner, sub_counts, axis=0), np.concatenate(new_logs)]
+    )
+    order = np.lexsort(_re_im(inner).reshape(len(inner), -1).T[::-1])
+    run.levels.append(LevelState(
+        inner[order], np.concatenate(new_sums)[order], tuple(ranks)
+    ))
+
+
+def _final_refit(run: _Run, base_alphas, f0) -> RecoveryReport:
+    """The run's report, with the last level's piles as terms and their
+    coefficients refit by least squares over every sample the run drew."""
+    piles = run.levels[-1]
+    provisional = _model(
+        assemble_exponents(piles.inner_products, run.basis),
+        piles.coefficient_sums,
+    )
+    points, observed = run.oracle.ledger.arrays(run.start)
     try:
         final_alphas = linalg.solve_least_squares(
-            design, observed, rcond=config.rank_rel_tol
+            exp_matrix(provisional, points), observed,
+            rcond=run.config.rank_rel_tol,
         )
         model = _model(provisional.exponent_matrix(), final_alphas)
     except RankDeficiencyError:
-        warnings.append(
+        run.warnings.append(
             "final coefficient refit was rank deficient; keeping the "
             "pile aggregates"
         )
         model = provisional
-
-    return _report(model, points, observed, levels, rank_decisions, warnings,
-                   coeff_sums, base.values[0])
+    return _report(model, points, observed, run.levels, run.decisions,
+                   run.warnings, base_alphas, f0)
 
 
 def _redraw_multipliers(rng, count: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .errors import DimensionMismatchError, InputError, MissingSampleError
 from .model import DirectionBasis, ExponentialModel, evaluate, exp_matrix
 
 QUANTIZE_DIGITS = 12
-MATCH_TOL = 1e-9
+MATCH_TOL = 1e-9  # max-norm distance at which a stored point serves a query
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
@@ -156,9 +156,8 @@ class NoisyOracle(Oracle):
 class TabulatedOracle(Oracle):
     """Serves pre-computed samples from a table keyed by quantized points."""
 
-    def __init__(self, dimension: int, match_tol: float = MATCH_TOL):
+    def __init__(self, dimension: int):
         super().__init__(dimension)
-        self.match_tol = float(match_tol)
         self._table: dict[tuple[float, ...], complex] = {}
 
     @staticmethod
@@ -172,11 +171,11 @@ class TabulatedOracle(Oracle):
     def _insert(self, points: np.ndarray, values: list[complex],
                 path=None, lines=None) -> None:
         """Store m rows in one pass; a repeated point must repeat its value to
-        within ``match_tol``.  A conflict names ``path`` and ``lines`` if given."""
+        within ``MATCH_TOL``.  A conflict names ``path`` and ``lines`` if given."""
         keys = self._keys(points)
         for i, (key, value) in enumerate(zip(keys, values)):
             existing = self._table.get(key)
-            if existing is not None and abs(existing - value) > self.match_tol:
+            if existing is not None and abs(existing - value) > MATCH_TOL:
                 message = f"conflicting values for point {key}: {existing} vs {value}"
                 if path is not None:
                     j = max(j for j in range(i) if keys[j] == key)
@@ -197,8 +196,8 @@ class TabulatedOracle(Oracle):
         # stored point, the first in file order on a tie
         distance = lambda key: max(abs(k - p) for k, p in zip(key, point))
         key = min(self._table, key=distance, default=None)
-        if key is None or distance(key) > self.match_tol:
-            raise MissingSampleError(point, self.match_tol)
+        if key is None or distance(key) > MATCH_TOL:
+            raise MissingSampleError(point, MATCH_TOL)
         return self._table[key]
 
     def _values(self, points: np.ndarray) -> np.ndarray:

@@ -7,12 +7,11 @@ from expsum import (
     ExponentialModel,
     Term,
     canonicalize,
-    hankel,
-    solve,
 )
 from expsum.cli import verify_models
 from expsum.demo import demo_model as reference_model
 from expsum.demo import scenario_one_basis, scenario_two_basis
+from expsum.linalg import hankel, solve
 
 
 def model_error(model_a: ExponentialModel, model_b: ExponentialModel) -> float:

@@ -20,14 +20,13 @@ from expsum import (
     RecoveryConfig,
     SyntheticOracle,
     budget_bound,
-    detect_sparsity,
     evaluate,
-    fit_nodes,
-    generalized_eigenvalues,
     recover_known_n,
     recover_unknown_n,
 )
+from expsum.linalg import generalized_eigenvalues
 from expsum.oracle import SequenceStream
+from expsum.prony import detect_sparsity, fit_nodes
 from expsum.synth import cancellation_instance, collision_instance, random_basis, random_model
 
 from helpers import (

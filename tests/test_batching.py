@@ -25,13 +25,13 @@ from expsum import (
     SyntheticOracle,
     TabulatedOracle,
     Term,
-    detect_sparsity,
     identity_basis,
     plan_points,
     recover_known_n,
     recover_unknown_n,
-    solve_shift_system,
 )
+from expsum.multivar import solve_shift_system
+from expsum.prony import detect_sparsity
 from expsum.synth import (
     cancellation_instance,
     collision_instance,
@@ -186,7 +186,7 @@ def test_known_n_cancellation_stops_after_the_base_samples():
     )
     oracle = SyntheticOracle(model)
     with pytest.raises(CancellationSuspectedError):
-        recover_known_n(oracle, identity_basis(2), 2, RecoveryConfig())
+        recover_known_n(oracle, identity_basis(2), 2)
     assert oracle.ledger.count == 2 * 2
 
 
@@ -231,6 +231,17 @@ def test_known_n_missing_level_two_point_records_no_shift_sample():
     with pytest.raises(MissingSampleError):
         recover_known_n(table, basis, n)
     assert np.array_equal(ledger_points(table), np.array(points[: 2 * n]))
+
+
+def test_known_n_overflowing_shift_matrix_raises_before_the_shift_points():
+    basis = DirectionBasis(2, ((1.0, 0.0), (0.0, 1.0)),
+                           multipliers={1: (0.0, 1e300, 2.0)})
+    oracle = SyntheticOracle(random_model(2, 3, np.random.default_rng(55),
+                                          identity_basis(2)))
+    with pytest.raises(SingularMatrixError, match="overflows"):
+        recover_known_n(oracle, basis, 3)
+    base_points = np.array(plan_points(basis, 3))[: 2 * 3]
+    assert np.array_equal(ledger_points(oracle), base_points)
 
 
 def test_unknown_n_singular_level_matrix_retries():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -456,27 +457,108 @@ def test_recover_subnormal_data_stderr_is_one_json_object(tmp_path, source,
     assert isinstance(json.loads(proc.stderr), dict)
 
 
-@pytest.mark.parametrize("command, error_class", [
-    ("generate", "InvalidBasisError"), ("verify", "InputError"),
-], ids=["generate-negative-dimension", "verify-overflowing-exponents"])
-def test_parsed_input_that_defeats_numpy_exits_2_with_one_json_object(
-        tmp_path, command, error_class):
-    if command == "generate":
-        argv = ["generate", "--dimension", "-1", "--terms", "2",
-                "--out", str(tmp_path / "m.json")]
-    else:
-        # exponent differences above about 1e154 overflow the matching cost
-        argv = ["verify"]
-        for name, exponent in (("p.json", 1e200), ("q.json", -1e200)):
-            ExponentialModel(1, (Term(1.0, (exponent,)),)).save(tmp_path / name)
-            argv.append(str(tmp_path / name))
+def run_module(argv):
+    """``python -m expsum.cli argv`` in a subprocess, on this checkout."""
     src = str(Path(expsum.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "expsum.cli", *argv], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "expsum.cli", *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
     )
+
+
+@pytest.mark.parametrize("case", [
+    "generate-negative-dimension", "verify-overflowing-exponents",
+    "verify-overflowing-coefficients", "verify-negative-tol", "verify-nan-tol",
+    "generate-negative-seed", "recover-negative-seed", "config-negative-seed",
+])
+def test_parsed_input_that_defeats_numpy_exits_2_with_one_json_object(
+        tmp_path, case):
+    def one_term(name, coefficient, exponent):
+        ExponentialModel(1, (Term(coefficient, (exponent,)),)).save(
+            tmp_path / name)
+        return tmp_path / name
+
+    out = tmp_path / "out"
+    argv = {
+        "generate-negative-dimension": lambda: [
+            "generate", "--dimension", -1, "--terms", 2, "--out", out],
+        # exponent differences above about 1e154 overflow the matching cost
+        "verify-overflowing-exponents": lambda: [
+            "verify", one_term("p.json", 1.0, 1e200),
+            one_term("q.json", 1.0, -1e200)],
+        "verify-overflowing-coefficients": lambda: [
+            "verify", one_term("p.json", 1e308, 0.1j),
+            one_term("q.json", -1e308, 0.1j)],
+        "verify-negative-tol": lambda: [
+            "verify", one_term("p.json", 1.0, 0.1j), tmp_path / "p.json",
+            "--tol", -1],
+        "verify-nan-tol": lambda: [
+            "verify", one_term("p.json", 1.0, 0.1j), tmp_path / "p.json",
+            "--tol", "nan"],
+        "generate-negative-seed": lambda: [
+            "generate", "--dimension", 2, "--terms", 2, "--seed", -1,
+            "--out", out],
+        "recover-negative-seed": lambda: [
+            "recover", "--model", one_term("p.json", 1.0, 0.1j),
+            "--seed", -1, "--out", out],
+        "config-negative-seed": lambda: [
+            "recover", "--model", one_term("p.json", 1.0, 0.1j), "--config",
+            write_config(tmp_path / "c.json", [(1.0,)], "unknown_n",
+                         recovery={"seed": -1}),
+            "--out", out],
+    }[case]()
+    proc = run_module(argv)
     assert proc.returncode == EXIT_INPUT
+    error_class = ("InvalidBasisError" if case == "generate-negative-dimension"
+                   else "InputError")
     assert json.loads(proc.stderr)["error_class"] == error_class
+
+
+@pytest.mark.parametrize("mode, pinned", [
+    ("known_n", {"multipliers": {"1": [0, 1e300, 2]}}),
+    ("unknown_n", {"combination_weights": {"1": [1e300]}}),
+], ids=["known-n-multipliers", "unknown-n-weights"])
+def test_overflowing_shift_matrix_exits_3_with_one_json_object(
+        tmp_path, mode, pinned):
+    model_path = tmp_path / "model.json"
+    ExponentialModel(2, (
+        Term(1.0, (0.1 + 0.3j, 0.2j)),
+        Term(2.0, (-0.1 + 1.1j, -0.5j)),
+        Term(-1.5, (0.05 - 0.7j, 0.9j)),
+    )).save(model_path)
+    config = write_config(tmp_path / "config.json", [(1.0, 0.0), (0.0, 1.0)],
+                          mode, n=3)
+    doc = json.loads(config.read_text())
+    doc["basis"].update(pinned)
+    config.write_text(json.dumps(doc))
+    proc = run_module(["recover", "--config", config, "--model", model_path,
+                       "--out", tmp_path / "run"])
+    assert proc.returncode == EXIT_NUMERICAL
+    assert json.loads(proc.stderr)["error_class"] == "SingularMatrixError"
+
+
+def test_public_names_are_the_user_facing_api():
+    public = {name for name, value in vars(expsum).items()
+              if not (name.startswith("_") or isinstance(value, ModuleType))}
+    assert public == {
+        # drivers, their configuration and report
+        "recover_known_n", "recover_unknown_n", "RecoveryConfig",
+        "RecoveryReport", "LevelState", "RankDecision", "budget_bound",
+        # models and bases
+        "ExponentialModel", "Term", "DirectionBasis", "identity_basis",
+        "canonicalize", "evaluate", "validate_nyquist",
+        # sample sources
+        "Oracle", "SyntheticOracle", "NoisyOracle", "TabulatedOracle",
+        "SampleLedger", "SequenceStream", "plan_points",
+        # errors
+        "ExpsumError", "InputError", "DimensionMismatchError",
+        "InvalidBasisError", "MissingSampleError", "GenerationError",
+        "SingularMatrixError", "RankDeficiencyError", "PencilDegenerateError",
+        "RankMismatchError", "InvalidNodeError", "SparsityUndetectedError",
+        "CollisionDetectedError", "CancellationSuspectedError",
+        "DegenerateModelError", "BudgetExceededError",
+    }
 
 
 def test_demo_command_passes(capsys):

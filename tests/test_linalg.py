@@ -10,6 +10,8 @@ from expsum import (
     PencilDegenerateError,
     RankDeficiencyError,
     SingularMatrixError,
+)
+from expsum.linalg import (
     generalized_eigenvalues,
     hankel,
     numerical_rank,

@@ -16,24 +16,29 @@ from expsum import (
     RecoveryConfig,
     SyntheticOracle,
     Term,
-    assemble_exponents,
     budget_bound,
-    cancellation_rescue,
     canonicalize,
-    detect_sparsity,
-    disentangle_pile,
     evaluate,
-    fit_coefficients,
-    fit_nodes,
     identity_basis,
     recover_known_n,
     recover_unknown_n,
-    solve_shift_system,
-    take_logs,
-    vandermonde,
 )
-from expsum.multivar import default_rescue_epsilon, sample_residuals
+from expsum.linalg import vandermonde
+from expsum.multivar import (
+    assemble_exponents,
+    cancellation_rescue,
+    default_rescue_epsilon,
+    disentangle_pile,
+    sample_residuals,
+    solve_shift_system,
+)
 from expsum.oracle import SequenceStream
+from expsum.prony import (
+    detect_sparsity,
+    fit_coefficients,
+    fit_nodes,
+    take_logs,
+)
 from expsum.synth import (
     cancellation_instance,
     collision_instance,
@@ -117,7 +122,7 @@ def test_known_n_tiny_coefficient_flags_cancellation():
     )
     oracle = SyntheticOracle(model)
     with pytest.raises(CancellationSuspectedError):
-        recover_known_n(oracle, basis, 2, RecoveryConfig())
+        recover_known_n(oracle, basis, 2)
 
 
 def test_solve_shift_system_single_node():
@@ -282,7 +287,7 @@ def test_cancellation_rescue_confirms_clean_rank():
     oracle = SyntheticOracle(model)
     epsilon = default_rescue_epsilon(basis.direction(0), seed=5)
     decision, _ = cancellation_rescue(
-        oracle, basis.direction(0), epsilon, k_max=2, nu_prev=3
+        oracle, basis.direction(0), epsilon, k_max=2, max_terms=7
     )
     assert decision.rank == 3
     assert decision.confident
@@ -298,7 +303,8 @@ def test_cancellation_rescue_reveals_hidden_pile():
     assert masked.rank == 2  # one of three piles sums to zero
     epsilon = default_rescue_epsilon(basis.direction(0), seed=6)
     rescued, _ = cancellation_rescue(
-        oracle, basis.direction(0), epsilon, k_max=2, nu_prev=masked.rank
+        oracle, basis.direction(0), epsilon, k_max=2,
+        max_terms=masked.rank + 4,
     )
     assert rescued.rank == 3
 
@@ -312,7 +318,8 @@ def test_cancellation_rescue_degenerate_k_zero_matches_original():
     original = detect_sparsity(stream.value_at, max_terms=8)
     epsilon = default_rescue_epsilon(basis.direction(0), seed=7)
     degenerate, _ = cancellation_rescue(
-        oracle, basis.direction(0), epsilon, k_max=0, nu_prev=original.rank
+        oracle, basis.direction(0), epsilon, k_max=0,
+        max_terms=original.rank + 4,
     )
     assert degenerate.rank == original.rank
 

@@ -89,7 +89,7 @@ def test_tabulated_oracle_hit_and_miss():
     table = TabulatedOracle(2)
     table.add([0.25, 0.5], 1.0 + 2.0j)
     assert table.sample([0.25, 0.5]) == 1.0 + 2.0j
-    # within match_tol of the stored point
+    # within MATCH_TOL of the stored point
     assert table.sample([0.25 + 5e-10, 0.5]) == 1.0 + 2.0j
     with pytest.raises(MissingSampleError) as err:
         table.sample([0.1, 0.1])
@@ -97,7 +97,7 @@ def test_tabulated_oracle_hit_and_miss():
 
 
 # Samples-table properties.  Grid points are at least 0.1 apart, so only the
-# point under test lies within match_tol of a query; coordinates stay within
+# point under test lies within MATCH_TOL of a query; coordinates stay within
 # +-100, where rounding to 12 decimals has ulps to spare.
 TABLE_GRID = (0.0, -0.0, 0.1, -0.1, 1 / 3, -2.5, 7.25, -99.9, 100.0)
 TABLE_VALUES = (1 + 0j, 1 + 5e-10j, 1j, -2.5 + 0.5j)
@@ -211,15 +211,16 @@ def test_table_keys_keep_huge_coordinates_apart():
         table.sample([3e300, 0.0])
 
 
-def test_fallback_scan_serves_the_nearest_point():
-    # 1e-9 is within match_tol of both; 1.5e-9 is the nearer, in either order
+def test_fallback_scan_serves_the_nearest_point(monkeypatch):
+    # 1e-9 is within MATCH_TOL of both; 1.5e-9 is the nearer, in either order
     for rows in ([(0.0, 1), (1.5e-9, 2)], [(1.5e-9, 2), (0.0, 1)]):
         table = TabulatedOracle(1)
         for x, value in rows:
             table.add([x], value)
         assert table.sample([1e-9]) == 2
     # a tie serves the first stored point
-    table = TabulatedOracle(1, match_tol=0.5)
+    monkeypatch.setattr("expsum.oracle.MATCH_TOL", 0.5)
+    table = TabulatedOracle(1)
     table.add([0.0], 1)
     table.add([1.0], 2)
     assert table.sample([0.5]) == 1

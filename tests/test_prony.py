@@ -11,6 +11,8 @@ from expsum import (
     SingularMatrixError,
     SparsityUndetectedError,
     SyntheticOracle,
+)
+from expsum.prony import (
     detect_sparsity,
     fit_coefficients,
     fit_nodes,
