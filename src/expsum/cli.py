@@ -17,6 +17,7 @@ import numpy as np
 from . import _json
 from .demo import run_demo
 from .errors import ExpsumError, InputError
+from .linalg import min_cost_matching
 from .model import (
     DirectionBasis,
     ExponentialModel,
@@ -226,8 +227,6 @@ def cmd_recover(args) -> int:
 def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
                   tol: float) -> dict:
     """Match terms by nearest exponent vector and report worst errors."""
-    # imported here: scipy.optimize costs about 0.25 s of every start-up
-    from scipy.optimize import linear_sum_assignment
     a = canonicalize(model_a)
     b = canonicalize(model_b)
     result = {
@@ -245,13 +244,11 @@ def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
     ea, eb = a.exponent_matrix(), b.exponent_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
         cost = np.linalg.norm(ea[:, None, :] - eb[None, :, :], axis=2)
-    if not np.all(np.isfinite(cost)):
-        raise InputError("exponent distances overflow; cannot match terms")
-    rows, cols = linear_sum_assignment(cost)
+    cols = min_cost_matching(cost)
     ca, cb = a.coefficients(), b.coefficients()
     exp_err = 0.0
     coeff_err = 0.0
-    for r, c in zip(rows, cols):
+    for r, c in enumerate(cols):
         scale = max(float(np.linalg.norm(ea[r])), 1e-12)
         exp_err = max(exp_err, float(cost[r, c]) / scale)
         with np.errstate(over="ignore"):

@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernels for the recovery pipeline.
 
 Structured-matrix construction, square and least-squares solves, numerical
-rank decisions, and the generalized eigenvalue problem.  Matrices are plain
+rank decisions, the generalized eigenvalue problem, and the minimum-cost
+matching that pairs the terms of two models.  Matrices are plain
 ``numpy`` arrays; sizes are O(n terms) so everything is materialized densely
 and handed to LAPACK.
 """
@@ -189,6 +190,60 @@ def numerical_rank(a, rel_tol: float = DEFAULT_RANK_RTOL) -> RankDecision:
         raise InputError("numerical_rank expects a matrix")
     sv = np.linalg.svd(am, compute_uv=False)
     return rank_from_singular_values(sv, rel_tol)
+
+
+def min_cost_matching(cost) -> np.ndarray:
+    """Exact minimum-cost perfect matching of a square cost matrix.
+
+    Returns ``cols`` with row i matched to column ``cols[i]``; the total
+    ``cost[i, cols[i]]`` summed over i is minimal.  This is the O(n^3)
+    shortest-augmenting-path Hungarian method (Kuhn-Munkres in the
+    Jonker-Volgenant form): each row is added in turn, Dijkstra grows an
+    alternating tree over columns with reduced costs (vectorised over
+    columns), and the tree's shortest path to a free column is flipped.
+    The cost is divided by its largest magnitude first, which keeps the
+    optimum and bounds the dual potentials by n for any finite input.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise InputError(f"cost must be a square matrix, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise InputError("matching cost entries must be finite")
+    n = c.shape[0]
+    top = float(np.abs(c).max(initial=0.0))
+    if top > 0:
+        c = c / top
+    # column 0 is a virtual root; row_of[j] is the 1-based row on column j
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=int)
+    way = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        dist = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used
+            reduced = c[i0 - 1] - u[i0] - v[1:]
+            closer = free[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            way[1:][closer] = j0
+            j1 = int(np.argmin(np.where(free, dist, np.inf)))
+            delta = dist[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[free] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = np.empty(n, dtype=int)
+    cols[row_of[1:] - 1] = np.arange(n)
+    return cols
 
 
 def generalized_eigenvalues(a, b, b_singular_values=None) -> np.ndarray:

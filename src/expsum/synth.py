@@ -23,6 +23,16 @@ DEFAULT_REAL_RANGE = 0.15
 # recoverable to ~1e-12 and 1e-8-noisy instances to ~1e-4.
 DEFAULT_CONDITIONING_CAP = 3e3
 
+# Largest term count random_model attempts: the largest count measured.
+# Under the conditioning cap, larger random models are out of reach: at
+# d = 1 and nyquist_margin 1e-3, 5 seeds x 500 tries drew a 16-term model
+# for 4 seeds but no 20-term model; 20 seeds x 500 tries drew no 24-term
+# model at margins 0.01 or 1e-3; and at the CLI's default margin 0.3,
+# 5 seeds x 500 tries drew no model of 10, 12 or 16 terms at d = 1 or 2.
+# Refusing larger n up front keeps the O(n^2) node-gap and Hankel matrices
+# of a hopeless draw from being built.
+MAX_RANDOM_TERMS = 24
+
 
 def random_basis(dimension: int, rng, scale: float = 1.0) -> DirectionBasis:
     """A well-conditioned random direction basis (orthogonal columns, scaled)."""
@@ -76,11 +86,12 @@ def random_model(
     redrawn jointly until the base nodes exp(<phi_j, delta_0>) are pairwise
     separated and the base-line Hankel matrix respects the conditioning
     cap, so the instance is actually recoverable from the minimal budget.
+    ``n`` above ``MAX_RANDOM_TERMS`` raises :class:`InputError`.
     """
     if not 0 < nyquist_margin < 1:
         raise InputError("nyquist_margin must lie in (0, 1)")
-    if n < 1:
-        raise InputError("n must be >= 1")
+    if not 1 <= n <= MAX_RANDOM_TERMS:
+        raise InputError(f"n must lie in [1, {MAX_RANDOM_TERMS}], got {n}")
     bound = (1.0 - nyquist_margin) * np.pi
     for _ in range(max_tries):
         psi = rng.uniform(

@@ -10,15 +10,19 @@ from types import ModuleType
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import expsum
 from expsum import (
     ExponentialModel,
+    NoisyOracle,
     SyntheticOracle,
     Term,
+    canonicalize,
     evaluate,
     identity_basis,
     recover_known_n,
+    recover_unknown_n,
 )
 from expsum.cli import (
     EXIT_INPUT,
@@ -27,8 +31,10 @@ from expsum.cli import (
     EXIT_OK,
     RunConfig,
     main,
+    verify_models,
 )
 from expsum.oracle import read_points_file, write_samples_file
+from expsum.synth import MAX_RANDOM_TERMS, collision_instance, random_model
 
 
 def run(argv, capsys):
@@ -292,35 +298,63 @@ def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
-def test_importing_the_cli_loads_no_scipy():
+def scipy_modules_after(code):
+    """Run ``code`` in a fresh interpreter on this checkout and return the
+    scipy modules it left loaded, as the printed sorted list.  A name
+    blocked by a ``None`` entry in ``sys.modules`` is not a loaded module."""
     src = str(Path(expsum.__file__).resolve().parents[1])
-    code = ("import sys, expsum, expsum.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys; " + code + "; print(sorted(m for m, mod in "
+            "sys.modules.items() if m.split('.')[0] == 'scipy' and mod))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert scipy_modules_after("import expsum, expsum.cli") == "[]"
 
 
 def test_recovery_loads_no_scipy():
     # the base Hankel matrix of this model has condition 1.7e8
-    src = str(Path(expsum.__file__).resolve().parents[1])
     code = (
-        "import sys; from expsum import *; "
+        "from expsum import *; "
         "m = ExponentialModel(1, (Term(1, (0.3j,)), "
         "Term(1, (0.3j + 3e-4 * (1 + 1j),)), Term(2, (-1.1j,)))); "
         "r = recover_known_n(SyntheticOracle(m), identity_basis(1), 3); "
-        "assert r.detected_n == 3; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "assert r.detected_n == 3"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert scipy_modules_after(code) == "[]"
+
+
+def verify_pair(tmp_path):
+    """A model file, the same terms in reverse order, and a copy with one
+    coefficient off by 1%."""
+    terms = (Term(1.0, (0.1 + 0.3j, 0.2j)), Term(2.0, (-0.1 + 1.1j, -0.5j)),
+             Term(-1.5, (0.05 - 0.7j, 0.9j)))
+    paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
+    ExponentialModel(2, terms).save(paths[0])
+    ExponentialModel(2, terms[::-1]).save(paths[1])
+    ExponentialModel(2, (Term(1.01, terms[0].exponent),) + terms[1:]).save(
+        paths[2])
+    return [str(p) for p in paths]
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    a, b, _ = verify_pair(tmp_path)
+    code = f"from expsum.cli import main; assert main(['verify', {a!r}, {b!r}]) == 0"
+    assert scipy_modules_after(code) == "[]"
+
+
+def test_verify_runs_with_scipy_blocked(tmp_path):
+    a, b, c = verify_pair(tmp_path)
+    code = ("sys.modules['scipy'] = None; from expsum.cli import main; "
+            f"codes = [main(['verify', {a!r}, {b!r}]), "
+            f"main(['verify', {a!r}, {c!r}])]; "
+            f"assert codes == [{EXIT_OK}, {EXIT_MISMATCH}], codes")
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_report_json_is_report_dict_plus_residual_rows(tmp_path, capsys):
@@ -384,6 +418,74 @@ def test_verify_term_count_mismatch(tmp_path, capsys):
     code, out, _ = run(["verify", a, b, "--tol", 1e-6], capsys)
     assert code == EXIT_MISMATCH
     assert json.loads(out)["reason"] == "term-count mismatch"
+
+
+def scipy_verify_models(model_a, model_b, tol):
+    """verify_models with scipy's linear_sum_assignment as the matcher."""
+    a, b = canonicalize(model_a), canonicalize(model_b)
+    result = {"dimension": a.dimension, "terms_a": a.n_terms,
+              "terms_b": b.n_terms, "tol": tol}
+    if a.n_terms != b.n_terms:
+        return {**result, "match": False, "reason": "term-count mismatch"}
+    ea, eb = a.exponent_matrix(), b.exponent_matrix()
+    cost = np.linalg.norm(ea[:, None, :] - eb[None, :, :], axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    ca, cb = a.coefficients(), b.coefficients()
+    exp_err = coeff_err = 0.0
+    for r, c in zip(rows, cols):
+        scale = max(float(np.linalg.norm(ea[r])), 1e-12)
+        exp_err = max(exp_err, float(cost[r, c]) / scale)
+        coeff_err = max(coeff_err,
+                        abs(ca[r] - cb[c]) / max(abs(ca[r]), 1e-12))
+    return {**result, "max_exponent_rel_err": exp_err,
+            "max_coefficient_rel_err": coeff_err,
+            "match": bool(exp_err <= tol and coeff_err <= tol)}
+
+
+def verify_parity_pairs():
+    """Planted models against noisy recoveries of them, against exact
+    adaptive recoveries of planted collisions, and against copies with
+    every exponent moved by up to 0.3, which scrambles the nearest-term
+    order."""
+    rng = np.random.default_rng(5)
+    for seed in range(24):
+        d, n = 1 + seed % 3, 1 + seed % 6
+        basis = identity_basis(d)
+        truth = random_model(d, n, rng, basis)
+        noisy = NoisyOracle(SyntheticOracle(truth), 1e-6, seed=seed)
+        yield truth, recover_known_n(noisy, basis, n).model
+        moved = [Term(t.coefficient, tuple(
+            np.asarray(t.exponent) + rng.uniform(-0.3, 0.3, d)))
+            for t in truth.terms]
+        yield truth, ExponentialModel(d, tuple(moved))
+    for seed in range(6):
+        basis = identity_basis(2)
+        truth = collision_instance(2, rng, basis, pile_sizes=(2, 1))
+        yield truth, recover_unknown_n(SyntheticOracle(truth), basis).model
+
+
+def test_verify_models_matches_the_scipy_reference():
+    rng = np.random.default_rng(6)
+    for truth, other in verify_parity_pairs():
+        order = rng.permutation(other.n_terms)
+        permuted = ExponentialModel(
+            other.dimension, tuple(other.terms[k] for k in order))
+        for tol in (1e-6, 1e-1):
+            want = scipy_verify_models(truth, other, tol)
+            assert verify_models(truth, permuted, tol) == want
+            assert verify_models(permuted, truth, tol) == \
+                scipy_verify_models(other, truth, tol)
+
+
+def test_generate_refuses_too_many_terms_before_allocating(tmp_path):
+    # 100000 terms would need an n x n node-gap matrix of about 149 GiB
+    proc = run_module(["generate", "--dimension", 2, "--terms", 100000,
+                       "--out", tmp_path / "m.json"])
+    assert proc.returncode == EXIT_INPUT
+    payload = json.loads(proc.stderr)
+    assert payload["error_class"] == "InputError"
+    assert str(MAX_RANDOM_TERMS) in payload["message"]
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_recover_requires_exactly_one_source(tmp_path, capsys):

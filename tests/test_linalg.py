@@ -1,8 +1,13 @@
 """Linear-algebra kernels: structured matrices, solves, rank, pencils."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from expsum import (
@@ -19,7 +24,7 @@ from expsum.linalg import (
     solve_least_squares,
     vandermonde,
 )
-from expsum.linalg import EPS, condition_estimate
+from expsum.linalg import EPS, condition_estimate, min_cost_matching
 
 
 def test_hankel_definition():
@@ -219,3 +224,55 @@ def test_generalized_eigenvalues_singular_b_raises():
 
 def test_condition_estimate_identity():
     assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
+
+
+LARGEST = float(np.finfo(float).max)
+
+
+@st.composite
+def square_costs(draw):
+    """Square costs of size 1-24: integer ties, floats, all-equal rows,
+    zeros, and finite entries near the largest double."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["ties", "floats", "rows", "zeros", "huge"]))
+    if kind == "zeros":
+        return np.zeros((n, n))
+    if kind == "rows":
+        row_values = draw(arrays(float, n, elements=st.floats(0, 1e3)))
+        return np.repeat(row_values[:, None], n, axis=1)
+    elements = {
+        "ties": st.integers(0, 3).map(float),
+        "floats": st.floats(0, 1e3),
+        "huge": st.one_of(st.just(0.0), st.floats(1e307, LARGEST)),
+    }[kind]
+    return draw(arrays(float, (n, n), elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=square_costs())
+def test_min_cost_matching_is_an_optimal_permutation(cost):
+    n = cost.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = min_cost_matching(cost)
+    assert sorted(cols.tolist()) == list(range(n))
+    # the reference matches in units of the largest entry: on the raw costs
+    # near 1e308 its potentials overflow and it returns a worse matching
+    scaled = cost / max(cost.max(), 1.0)
+    rows, want_cols = linear_sum_assignment(scaled)
+    got = scaled[np.arange(n), cols].sum()
+    want = scaled[rows, want_cols].sum()
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_min_cost_matching_of_an_empty_cost_is_empty():
+    assert min_cost_matching(np.zeros((0, 0))).shape == (0,)
+
+
+@pytest.mark.parametrize("cost", [
+    np.zeros((2, 3)), np.zeros(3), np.array([[0.0, np.inf], [1.0, 0.0]]),
+    np.array([[np.nan]]),
+], ids=["rectangular", "vector", "infinite", "nan"])
+def test_min_cost_matching_rejects_non_square_or_non_finite_costs(cost):
+    with pytest.raises(InputError):
+        min_cost_matching(cost)

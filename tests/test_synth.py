@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from expsum import GenerationError, SyntheticOracle, recover_unknown_n, validate_nyquist
+from expsum import (GenerationError, InputError, SyntheticOracle,
+                    recover_unknown_n, validate_nyquist)
 from expsum.oracle import SequenceStream
 from expsum.prony import detect_sparsity
 from expsum.synth import (
+    MAX_RANDOM_TERMS,
     cancellation_instance,
     collision_instance,
     random_basis,
@@ -31,6 +33,13 @@ def test_random_model_honors_node_separation():
     gaps = np.abs(nodes[:, None] - nodes[None, :])
     np.fill_diagonal(gaps, np.inf)
     assert gaps.min() >= 1e-2
+
+
+@pytest.mark.parametrize("n", [0, MAX_RANDOM_TERMS + 1, 10**9])
+def test_random_model_rejects_term_counts_outside_its_range(n):
+    rng = np.random.default_rng(42)
+    with pytest.raises(InputError, match="n must lie in"):
+        random_model(2, n, rng, random_basis(2, rng))
 
 
 def test_random_model_impossible_constraints_raise():
