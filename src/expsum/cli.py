@@ -333,20 +333,19 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ExpsumError as exc:
-        _json.emit(
-            {
-                "error_class": type(exc).__name__,
-                "message": str(exc),
-            },
-            stream=sys.stderr,
-        )
-        return exc.exit_code
+        return _fail(type(exc).__name__, exc, exc.exit_code)
     except OSError as exc:
-        _json.emit(
-            {"error_class": "OSError", "message": str(exc)},
-            stream=sys.stderr,
-        )
-        return EXIT_INPUT
+        return _fail("OSError", exc, EXIT_INPUT)
+    except MemoryError as exc:
+        # a huge term count can exhaust memory while its points are built
+        return _fail("MemoryError", exc, EXIT_INPUT)
+
+
+def _fail(error_class: str, exc: BaseException, code: int) -> int:
+    """Report ``exc`` as one JSON object on stderr and return ``code``."""
+    _json.emit({"error_class": error_class, "message": str(exc)},
+               stream=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -65,7 +65,8 @@ CANCELLATION_RTOL = 1e-12
 # ``RecoveryConfig.rank_rel_tol``: it only needs to tell structural rank
 # deficiency (singular values at roundoff level) from benign ill-conditioning.
 COLLISION_RTOL = 1e-10
-NODE_TOL = 1e-6  # nodes closer than this times max |node| coincide
+# The known-n driver refuses base nodes closer than this times max |node|.
+NODE_TOL = 1e-6
 # Exponents this close componentwise merge; a merged term is dropped when its
 # coefficient is this small relative to the largest one.
 MERGE_TOL = 1e-9
@@ -277,7 +278,7 @@ def disentangle_pile(pile_sequence, r: int):
     pile's leading sequence value.
 
     Raises :class:`PencilDegenerateError` when the pencil is singular,
-    which means r was overestimated; retry with r - 1.
+    which means r was overestimated.
     """
     seq = np.asarray(pile_sequence, dtype=complex)
     if r < 1:
@@ -370,27 +371,6 @@ def cancellation_rescue(
 def _node_sort_order(logs) -> np.ndarray:
     nodes = np.exp(np.asarray(logs, dtype=complex))
     return np.lexsort((nodes.imag, nodes.real))
-
-
-def _merge_close_nodes(logs, coeffs):
-    """Cluster logs whose nodes sit closer than NODE_TOL * max|node|."""
-    nodes = np.exp(np.asarray(logs, dtype=complex))
-    scale = float(np.max(np.abs(nodes)))
-    groups: list[list[int]] = []
-    for j in range(len(nodes)):
-        for group in groups:
-            if abs(nodes[group[0]] - nodes[j]) <= NODE_TOL * scale:
-                group.append(j)
-                break
-        else:
-            groups.append([j])
-    if len(groups) == len(nodes):
-        return np.asarray(logs, dtype=complex), np.asarray(coeffs, dtype=complex), False
-    merged_logs = np.array([logs[g[0]] for g in groups], dtype=complex)
-    merged_coeffs = np.array(
-        [np.sum([coeffs[j] for j in g]) for g in groups], dtype=complex
-    )
-    return merged_logs, merged_coeffs, True
 
 
 def sample_residuals(model, points, values):
@@ -570,15 +550,15 @@ def recover_unknown_n(oracle: Oracle, basis: DirectionBasis,
         sequences, ranks = _pile_sequences(
             run, i, matrix, weights, kappas, run.levels[-1].coefficient_sums
         )
-        _split_piles(run, i, inner, sequences, ranks)
+        _split_piles(run, inner, sequences, ranks)
     return _final_refit(run, base_alphas, f0)
 
 
 def _base_stage(run: _Run):
     """Detect the base rank, rescued from cancellation when configured, fit
-    the base nodes and the pile coefficient sums, merge coincident nodes,
-    and record level 0.  Returns the base coefficients and the first base
-    sample, which they should sum to."""
+    the base nodes and the pile coefficient sums, and record level 0.
+    Returns the base coefficients and the first base sample, which they
+    should sum to."""
     config, base_dir = run.config, run.basis.direction(0)
     base = SequenceStream(run, np.zeros(run.basis.dimension), base_dir)
     decision = detect_sparsity(
@@ -610,14 +590,7 @@ def _base_stage(run: _Run):
     logs = take_logs(fit_nodes(fit_stream.values, nu))
     # pile coefficient sums always come from the unshifted base line
     base.ensure(2 * nu)
-    logs, alphas, merged = _merge_close_nodes(
-        logs, fit_coefficients(logs, base.values)
-    )
-    if merged:
-        run.warnings.append(
-            f"nearly coincident base nodes merged; continuing with "
-            f"{len(logs)} piles"
-        )
+    alphas = fit_coefficients(logs, base.values)
     # the piles: row j of ``inner_products`` holds pile j's inner products
     # with the directions so far, ``coefficient_sums[j]`` its coefficient sum
     order = _node_sort_order(logs)
@@ -726,37 +699,18 @@ def _pile_sequences(run: _Run, i: int, matrix, weights, kappas, sums):
     return sequences, ranks
 
 
-def _split_piles(run: _Run, i: int, inner, sequences, ranks) -> None:
+def _split_piles(run: _Run, inner, sequences, ranks) -> None:
     """Split every pile into the sub-piles its sequence resolves and record
-    level i; a degenerate pencil retries one rank lower."""
-    sub_counts, new_logs, new_sums = [], [], []
-    for j, seq in enumerate(sequences):
-        r = ranks[j]
-        try:
-            sub_nodes, sub_coeffs = disentangle_pile(seq, r)
-        except PencilDegenerateError:
-            if r <= 1:
-                raise
-            run.warnings.append(
-                f"pile {j} at level {i}: pencil degenerate at rank {r}, "
-                f"retrying with {r - 1}"
-            )
-            r = ranks[j] = r - 1
-            sub_nodes, sub_coeffs = disentangle_pile(seq, r)
-        sub_logs, sub_coeffs, merged = _merge_close_nodes(
-            take_logs(sub_nodes), sub_coeffs
-        )
-        if merged:
-            run.warnings.append(
-                f"pile {j} at level {i}: coincident sub-nodes merged"
-            )
-        sub_counts.append(len(sub_logs))
-        new_logs.append(sub_logs)
+    the level.  A degenerate pencil raises :class:`PencilDegenerateError`."""
+    new_logs, new_sums = [], []
+    for seq, r in zip(sequences, ranks):
+        sub_nodes, sub_coeffs = disentangle_pile(seq, r)
+        new_logs.append(take_logs(sub_nodes))
         new_sums.append(sub_coeffs)
     # each sub-pile inherits its pile's row and appends its sub-log;
     # one stable sort orders the rows by their (Re, Im) pairs
     inner = np.column_stack(
-        [np.repeat(inner, sub_counts, axis=0), np.concatenate(new_logs)]
+        [np.repeat(inner, ranks, axis=0), np.concatenate(new_logs)]
     )
     order = np.lexsort(_re_im(inner).reshape(len(inner), -1).T[::-1])
     run.levels.append(LevelState(

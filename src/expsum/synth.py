@@ -15,13 +15,24 @@ from .errors import GenerationError, InputError
 from .model import DirectionBasis, ExponentialModel, Term, canonicalize
 
 COEFF_MODULUS_RANGE = (0.1, 10.0)
-DEFAULT_REAL_RANGE = 0.15
+REAL_RANGE = 0.15  # bound on |Re <phi_j, delta_i>| of every generated term
 
 # Upper bound on the conditioning of the base-line Hankel matrix of a
 # generated instance.  Minimal-budget recovery amplifies data errors by
 # roughly this factor, so capping it keeps exact-arithmetic instances
 # recoverable to ~1e-12 and 1e-8-noisy instances to ~1e-4.
-DEFAULT_CONDITIONING_CAP = 3e3
+CONDITIONING_CAP = 3e3
+
+# Draws a generator makes before it raises GenerationError; a cancellation
+# instance redraws a whole collision instance per try.
+MAX_TRIES = 500
+CANCELLATION_TRIES = 50
+
+# Planted collisions and cancellations keep every inner product a factor
+# 1 - PLANTED_NYQUIST_MARGIN inside the aliasing strip, and the nodes they
+# must tell apart at least PLANTED_MIN_SEPARATION apart.
+PLANTED_NYQUIST_MARGIN = 0.1
+PLANTED_MIN_SEPARATION = 5e-2
 
 # Largest term count random_model attempts: the largest count measured.
 # Under the conditioning cap, larger random models are out of reach: at
@@ -34,12 +45,11 @@ DEFAULT_CONDITIONING_CAP = 3e3
 MAX_RANDOM_TERMS = 24
 
 
-def random_basis(dimension: int, rng, scale: float = 1.0) -> DirectionBasis:
-    """A well-conditioned random direction basis (orthogonal columns, scaled)."""
+def random_basis(dimension: int, rng) -> DirectionBasis:
+    """A well-conditioned random direction basis (orthonormal columns)."""
     if dimension == 1:
-        return DirectionBasis(1, ((float(scale),),))
+        return DirectionBasis(1, ((1.0,),))
     q, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
-    q = q * scale
     return DirectionBasis(dimension, tuple(tuple(row) for row in q))
 
 
@@ -75,9 +85,6 @@ def random_model(
     basis: DirectionBasis,
     nyquist_margin: float = 0.1,
     min_node_separation: float = 1e-3,
-    real_range: float = DEFAULT_REAL_RANGE,
-    conditioning_cap: float = DEFAULT_CONDITIONING_CAP,
-    max_tries: int = 500,
 ) -> ExponentialModel:
     """Random admissible model with separated base nodes.
 
@@ -93,9 +100,9 @@ def random_model(
     if not 1 <= n <= MAX_RANDOM_TERMS:
         raise InputError(f"n must lie in [1, {MAX_RANDOM_TERMS}], got {n}")
     bound = (1.0 - nyquist_margin) * np.pi
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         psi = rng.uniform(
-            -real_range, real_range, size=(n, dimension)
+            -REAL_RANGE, REAL_RANGE, size=(n, dimension)
         ) + 1j * rng.uniform(-bound, bound, size=(n, dimension))
         coeffs = random_coefficients(n, rng)
         nodes = np.exp(psi[:, 0])
@@ -109,13 +116,13 @@ def random_model(
         )
         idx = np.arange(n)
         base_hankel = values[idx[:, None] + idx[None, :]]
-        if np.linalg.cond(base_hankel) > conditioning_cap:
+        if np.linalg.cond(base_hankel) > CONDITIONING_CAP:
             continue
         return canonicalize(model_from_inner_products(psi, basis, coeffs))
     raise GenerationError(
         f"could not draw {n} admissible terms with node separation "
-        f">= {min_node_separation} and conditioning <= {conditioning_cap:g} "
-        f"in {max_tries} tries"
+        f">= {min_node_separation} and conditioning <= {CONDITIONING_CAP:g} "
+        f"in {MAX_TRIES} tries"
     )
 
 
@@ -146,10 +153,6 @@ def collision_instance(
     basis: DirectionBasis,
     pile_sizes: tuple[int, ...],
     deep_collision: bool = False,
-    nyquist_margin: float = 0.1,
-    min_separation: float = 5e-2,
-    conditioning_cap: float = DEFAULT_CONDITIONING_CAP,
-    max_tries: int = 500,
 ) -> ExponentialModel:
     """Model whose base projections collide in piles of the given sizes.
 
@@ -169,18 +172,18 @@ def collision_instance(
             "a deep collision needs dimension >= 3 and a first pile of >= 2"
         )
     n = int(sum(pile_sizes))
-    bound = (1.0 - nyquist_margin) * np.pi
+    bound = (1.0 - PLANTED_NYQUIST_MARGIN) * np.pi
 
     def draw_separated(count):
-        for _ in range(max_tries):
-            vals = rng.uniform(-DEFAULT_REAL_RANGE, DEFAULT_REAL_RANGE, count) \
+        for _ in range(MAX_TRIES):
+            vals = rng.uniform(-REAL_RANGE, REAL_RANGE, count) \
                 + 1j * rng.uniform(-bound, bound, count)
             nodes = np.exp(vals)
             if count == 1:
                 return vals
             gaps = np.abs(nodes[:, None] - nodes[None, :])
             np.fill_diagonal(gaps, np.inf)
-            if gaps.min() >= min_separation:
+            if gaps.min() >= PLANTED_MIN_SEPARATION:
                 return vals
         raise GenerationError("could not draw separated inner products")
 
@@ -190,7 +193,7 @@ def collision_instance(
     for p, size in enumerate(pile_sizes):
         rows = slice(row, row + size)
         members = coeffs[rows]
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             level1 = draw_separated(size)
             deeper = [draw_separated(size) for _ in range(2, dimension)]
             if deep_collision and p == 0:
@@ -203,11 +206,11 @@ def collision_instance(
                 # the pair must stay resolvable where it finally splits
                 if _aggregated_sequence_condition(
                     deeper[0][:2], members[:2]
-                ) > conditioning_cap:
+                ) > CONDITIONING_CAP:
                     continue
             if _aggregated_sequence_condition(
                 level1, members
-            ) > conditioning_cap:
+            ) > CONDITIONING_CAP:
                 continue
             psi[rows, 1] = level1
             for offset, vals in enumerate(deeper):
@@ -226,11 +229,11 @@ def collision_instance(
             for p in range(len(pile_sizes))
         ]
     )
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         base_values = draw_separated(len(pile_sizes))
         if _aggregated_sequence_condition(
             base_values, aggregates
-        ) <= conditioning_cap:
+        ) <= CONDITIONING_CAP:
             break
     else:
         raise GenerationError("could not draw well-conditioned base values")
@@ -246,10 +249,6 @@ def cancellation_instance(
     rng,
     basis: DirectionBasis,
     extra_terms: int = 2,
-    nyquist_margin: float = 0.1,
-    min_separation: float = 5e-2,
-    conditioning_cap: float = DEFAULT_CONDITIONING_CAP,
-    max_tries: int = 50,
 ) -> ExponentialModel:
     """Model with one two-term pile whose coefficients sum exactly to zero.
 
@@ -261,15 +260,9 @@ def cancellation_instance(
     """
     if dimension < 2:
         raise InputError("cancellation instances need dimension >= 2")
-    for _ in range(max_tries):
+    for _ in range(CANCELLATION_TRIES):
         model = collision_instance(
-            dimension,
-            rng,
-            basis,
-            pile_sizes=(2,) + (1,) * extra_terms,
-            nyquist_margin=nyquist_margin,
-            min_separation=min_separation,
-            conditioning_cap=conditioning_cap,
+            dimension, rng, basis, pile_sizes=(2,) + (1,) * extra_terms
         )
         # force the two-pile coefficients to cancel: alpha_2 = -alpha_1
         inner = model.exponent_matrix() @ basis.matrix().T
@@ -295,7 +288,7 @@ def cancellation_instance(
             [inner[m, 0] for m in visible],
             [terms[m].coefficient for m in visible],
         )
-        if hidden_cond <= conditioning_cap and visible_cond <= conditioning_cap:
+        if hidden_cond <= CONDITIONING_CAP and visible_cond <= CONDITIONING_CAP:
             return ExponentialModel(dimension, tuple(terms))
     raise GenerationError(
         "could not build a well-conditioned cancellation instance"

@@ -488,6 +488,54 @@ def test_generate_refuses_too_many_terms_before_allocating(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+# Runs each argv through ``main`` in a child limited to 3 GiB of address
+# space, so a huge allocation fails at once instead of exhausting the
+# machine; prints [exit code, stderr text] per argv.
+MEMORY_LIMITED_MAIN = """
+import contextlib, io, json, resource, sys
+limit = 3 * 1024**3
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from expsum.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results.append([main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_huge_term_count_exits_2_with_one_json_object(tmp_path):
+    # each command's first array would take 7.5 to 15 GiB, so it fails
+    # before it touches any memory
+    config = write_config(tmp_path / "c.json", [(1.0, 0.0), (0.0, 1.0)],
+                          "unknown_n")
+    model = tmp_path / "m.json"
+    ExponentialModel(2, (Term(1.0, (0.1j, 0.3j)),)).save(model)
+    out = str(tmp_path / "out")
+    argvs = [
+        ["plan", "--config", str(config), "--known-n", "1000000000",
+         "--out", out],
+        ["plan", "--config", str(config), "--n-hint", "1000000000",
+         "--out", out],
+        ["recover", "--model", str(model), "--known-n", "1000000000",
+         "--out", out],
+    ]
+    src = str(Path(expsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_LIMITED_MAIN, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    for code, err in json.loads(proc.stdout):
+        assert code == EXIT_INPUT
+        assert json.loads(err)["error_class"] == "MemoryError"
+
+
 def test_recover_requires_exactly_one_source(tmp_path, capsys):
     code, _, err = run(
         ["recover", "--out", tmp_path / "run"], capsys

@@ -6,10 +6,12 @@ floor, the refit fallback, exhausted retries, the pile-count check) are
 reached only on noisy data.  The noisy instances are cases of one corpus:
 case ``idx`` is the ``idx``-th ``random_model`` drawn from ``rng(7)`` in the
 cycle of (d, n) cells below, sampled with relative noise seeded by ``idx``.
-The merge and pencil-retry branches are planted with widened tolerances.
 Each test pins the warning, the samples used and the rank decisions kept.
+A degenerate pile pencil is planted with a widened tolerance: it raises,
+in the library and at the command line, rather than being retried.
 """
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 
 from expsum import (
     NoisyOracle,
+    PencilDegenerateError,
     RecoveryConfig,
     SingularMatrixError,
     SparsityUndetectedError,
@@ -24,6 +27,7 @@ from expsum import (
     identity_basis,
     recover_unknown_n,
 )
+from expsum.cli import EXIT_NUMERICAL, main
 from expsum.synth import (
     collision_instance,
     model_from_inner_products,
@@ -116,27 +120,29 @@ def test_non_confident_base_rank_warns():
     assert len(report.rank_confidences) == 6
 
 
-@pytest.mark.parametrize(
-    "psi, coefficients, patch, warning, samples, decisions", [
-    ([[0.1j, 0.3j], [0.1j + 0.01, -0.5j], [0.9j, 0.2j]], [1.0, 2.0, -1.5],
-     ("expsum.multivar.NODE_TOL", 0.05),
-     "nearly coincident base nodes merged; continuing with 2 piles", 19, 3),
-    ([[0.1j, 0.3j], [0.1j, 0.3j + 0.01], [0.9j, 0.2j]], [1.0, 2.0, -1.5],
-     ("expsum.multivar.NODE_TOL", 0.05),
-     "pile 1 at level 1: coincident sub-nodes merged", 13, 3),
+def pencil_model():
     # one base node, so one pile: its 1 x 1 base pencil passes the widened
     # check and its 2 x 2 level-1 pencil fails it
-    ([[0.1j, 0.3j], [0.1j, -0.5j]], [1.0, 2.0],
-     ("expsum.linalg.PENCIL_SINGULAR_RTOL", 0.999),
-     "pile 0 at level 1: pencil degenerate at rank 2, retrying with 1", 7, 2),
-], ids=["base-merge", "sub-node-merge", "pencil-retry"])
-def test_planted_merge_and_retry_branches(monkeypatch, psi, coefficients,
-                                          patch, warning, samples, decisions):
-    monkeypatch.setattr(*patch)
-    basis = identity_basis(2)
-    model = model_from_inner_products(np.array(psi), basis,
-                                      np.array(coefficients))
-    report = recover_unknown_n(SyntheticOracle(model), basis)
-    assert report.warnings == (warning,)
-    assert report.samples_used == samples
-    assert len(report.rank_confidences) == decisions
+    return model_from_inner_products(
+        np.array([[0.1j, 0.3j], [0.1j, -0.5j]]), identity_basis(2),
+        np.array([1.0, 2.0]),
+    )
+
+
+def test_degenerate_pencil_raises_instead_of_retrying(monkeypatch):
+    monkeypatch.setattr("expsum.linalg.PENCIL_SINGULAR_RTOL", 0.999)
+    oracle = SyntheticOracle(pencil_model())
+    with pytest.raises(PencilDegenerateError):
+        recover_unknown_n(oracle, identity_basis(2))
+    assert oracle.ledger.count == 7
+
+
+def test_degenerate_pencil_exits_3_with_one_json_object(monkeypatch,
+                                                        tmp_path, capsys):
+    monkeypatch.setattr("expsum.linalg.PENCIL_SINGULAR_RTOL", 0.999)
+    pencil_model().save(tmp_path / "model.json")
+    code = main(["recover", "--model", str(tmp_path / "model.json"),
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_NUMERICAL
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error_class"] == "PencilDegenerateError"

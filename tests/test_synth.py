@@ -46,7 +46,7 @@ def test_random_model_impossible_constraints_raise():
     rng = np.random.default_rng(41)
     basis = random_basis(2, rng)
     with pytest.raises(GenerationError):
-        random_model(2, 8, rng, basis, min_node_separation=10.0, max_tries=20)
+        random_model(2, 8, rng, basis, min_node_separation=10.0)
 
 
 def test_random_model_deterministic_given_rng_state():
