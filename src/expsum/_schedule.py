@@ -12,6 +12,20 @@ from .errors import InputError
 # drag-along cost of advancing every pile's schedule together.
 BUDGET_CONSTANT = 4
 
+# Largest term count a plan or a fixed-budget run accepts.  A worst-case
+# plan lists budget_bound(d, n) ~ (d + 1) n^2 points, 149,760 of them at
+# d = 8 and this count, so the bound keeps every point array small, and it
+# is checked before any is built.  It is far above any count a minimal
+# budget resolves in practice: random models stop meeting the conditioning
+# cap beyond synth.MAX_RANDOM_TERMS = 24 terms.
+MAX_TERMS = 128
+
+
+def check_term_count(n: int) -> None:
+    """Raise :class:`InputError` unless 1 <= n <= MAX_TERMS."""
+    if not 1 <= n <= MAX_TERMS:
+        raise InputError(f"term count must lie in [1, {MAX_TERMS}], got {n}")
+
 
 def budget_bound(d: int, n: int) -> int:
     """Default sample cap for an adaptive run: C (d+1) max_nu nu (n - nu + 1),

@@ -78,9 +78,24 @@ def vandermonde(logs, powers) -> np.ndarray:
     return np.exp(np.outer(pw, lg))
 
 
+def singular_values(a) -> np.ndarray:
+    """Descending singular values of a matrix, or of each in a stack.
+
+    LAPACK can fail to converge even on finite input; its ``LinAlgError``
+    is raised as :class:`SingularMatrixError`, inside the exit-code
+    contract.
+    """
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"singular value decomposition failed ({exc})"
+        ) from exc
+
+
 def condition_estimate(a) -> float:
     """sigma_max / sigma_min of a matrix (inf when singular)."""
-    sv = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
+    sv = singular_values(np.asarray(a, dtype=complex))
     if sv[-1] == 0:
         return float("inf")
     return float(sv[0] / sv[-1])
@@ -101,7 +116,7 @@ def solve(a, b) -> np.ndarray:
         raise InputError(
             f"right-hand side has {bv.shape[0]} rows, matrix has {am.shape[0]}"
         )
-    sv = np.linalg.svd(am, compute_uv=False)
+    sv = singular_values(am)
     if sv[0] == 0 or sv[-1] <= SINGULAR_RTOL * sv[0]:
         raise SingularMatrixError(
             "matrix is singular to working tolerance "
@@ -117,7 +132,8 @@ def solve_least_squares(a, b, rcond: float = DEFAULT_RANK_RTOL) -> np.ndarray:
 
     Requires rows >= cols and full column rank to ``rcond``; otherwise a
     :class:`RankDeficiencyError` is raised carrying the rank decision, with
-    the matrix's condition estimate in its message.
+    the matrix's condition estimate in its message.  A LAPACK failure
+    raises it too, with no decision.
     """
     am = np.asarray(a, dtype=complex)
     bv = np.asarray(b, dtype=complex)
@@ -129,7 +145,10 @@ def solve_least_squares(a, b, rcond: float = DEFAULT_RANK_RTOL) -> np.ndarray:
         raise InputError(
             f"right-hand side has {bv.shape[0]} rows, matrix has {am.shape[0]}"
         )
-    x, _, rank, sv = np.linalg.lstsq(am, bv, rcond=rcond)
+    try:
+        x, _, rank, sv = np.linalg.lstsq(am, bv, rcond=rcond)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"least squares failed ({exc})") from exc
     if rank < am.shape[1]:
         decision = RankDecision(
             rank=int(rank),
@@ -188,8 +207,7 @@ def numerical_rank(a, rel_tol: float = DEFAULT_RANK_RTOL) -> RankDecision:
     am = np.asarray(a, dtype=complex)
     if am.ndim != 2:
         raise InputError("numerical_rank expects a matrix")
-    sv = np.linalg.svd(am, compute_uv=False)
-    return rank_from_singular_values(sv, rel_tol)
+    return rank_from_singular_values(singular_values(am), rel_tol)
 
 
 def min_cost_matching(cost) -> np.ndarray:

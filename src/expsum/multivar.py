@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _json, linalg
-from ._schedule import budget_bound, known_n_points, level_points
+from ._schedule import (budget_bound, check_term_count, known_n_points,
+                        level_points)
 from .errors import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -226,7 +227,7 @@ def _shift_matrices(logs, multipliers) -> np.ndarray:
         raise SingularMatrixError(
             "shift system overflows; use smaller multipliers"
         )
-    sv = np.linalg.svd(matrices, compute_uv=False)
+    sv = linalg.singular_values(matrices)
     singular = sv[..., -1] <= linalg.SINGULAR_RTOL * sv[..., 0]
     if np.any(singular):
         sv = sv[singular][0]
@@ -471,8 +472,7 @@ def recover_known_n(oracle: Oracle, basis: DirectionBasis,
     :class:`CollisionDetectedError`, directing the caller to
     :func:`recover_unknown_n`.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
+    check_term_count(n)
     _check_oracle(oracle, basis)
     d = basis.dimension
     start = oracle.ledger.count
@@ -657,9 +657,7 @@ def _pile_sequences(run: _Run, i: int, matrix, weights, kappas, sums):
         # pile matrices share one noise floor (they come from the same
         # solves), so rank thresholds use the level's largest scale
         idx = np.arange(m_size + 1)
-        pile_svs = np.linalg.svd(
-            sequences[:, idx[:, None] + idx], compute_uv=False
-        )
+        pile_svs = linalg.singular_values(sequences[:, idx[:, None] + idx])
         level_scale = float(pile_svs[:, 0].max())
         for j in range(count):
             if ranks[j]:

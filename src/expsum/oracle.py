@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from ._schedule import known_n_points, line_points, unknown_n_plan
+from ._schedule import (check_term_count, known_n_points, line_points,
+                        unknown_n_plan)
 from .errors import DimensionMismatchError, InputError, MissingSampleError
 # ``evaluate`` is unused here; bench/tracer.py wraps ``oracle.evaluate`` by name
 from .model import DirectionBasis, ExponentialModel, evaluate, exp_matrix
@@ -245,8 +246,7 @@ def plan_points(basis: DirectionBasis, n_hint: int, mode: str = "known_n"):
     request under default schedules, padded to the budget bound, so samples
     can be collected offline for a :class:`TabulatedOracle`.
     """
-    if n_hint < 1:
-        raise InputError("n_hint must be >= 1")
+    check_term_count(n_hint)
     if mode == "known_n":
         base, _, shifts = known_n_points(basis, n_hint)
         return [*base, *shifts.reshape(-1, basis.dimension)]

@@ -91,8 +91,10 @@ def random_model(
     Every inner product's imaginary part is kept a factor ``1 -
     nyquist_margin`` inside the aliasing strip; terms and coefficients are
     redrawn jointly until the base nodes exp(<phi_j, delta_0>) are pairwise
-    separated and the base-line Hankel matrix respects the conditioning
-    cap, so the instance is actually recoverable from the minimal budget.
+    separated and then the base-line Hankel matrix respects the
+    conditioning cap, so the instance is actually recoverable from the
+    minimal budget.  Separation is checked first; only a separated try
+    builds its 2n base values, as one vectorised exponential grid.
     ``n`` above ``MAX_RANDOM_TERMS`` raises :class:`InputError`.
     """
     if not 0 < nyquist_margin < 1:
@@ -100,24 +102,23 @@ def random_model(
     if not 1 <= n <= MAX_RANDOM_TERMS:
         raise InputError(f"n must lie in [1, {MAX_RANDOM_TERMS}], got {n}")
     bound = (1.0 - nyquist_margin) * np.pi
+    steps = np.arange(2 * n)[:, None]
+    window = steps[:n] + steps[:n].T
     for _ in range(MAX_TRIES):
-        psi = rng.uniform(
-            -REAL_RANGE, REAL_RANGE, size=(n, dimension)
-        ) + 1j * rng.uniform(-bound, bound, size=(n, dimension))
+        real = rng.uniform(-REAL_RANGE, REAL_RANGE, size=(n, dimension))
+        imag = rng.uniform(-bound, bound, size=(n, dimension))
         coeffs = random_coefficients(n, rng)
-        nodes = np.exp(psi[:, 0])
+        base = real[:, 0] + 1j * imag[:, 0]
         if n > 1:
+            nodes = np.exp(base)
             gaps = np.abs(nodes[:, None] - nodes[None, :])
             np.fill_diagonal(gaps, np.inf)
             if gaps.min() < min_node_separation:
                 continue
-        values = np.array(
-            [coeffs @ np.exp(psi[:, 0] * s) for s in range(2 * n)]
-        )
-        idx = np.arange(n)
-        base_hankel = values[idx[:, None] + idx[None, :]]
-        if np.linalg.cond(base_hankel) > CONDITIONING_CAP:
+        values = np.exp(steps * base) @ coeffs
+        if np.linalg.cond(values[window]) > CONDITIONING_CAP:
             continue
+        psi = real + 1j * imag
         return canonicalize(model_from_inner_products(psi, basis, coeffs))
     raise GenerationError(
         f"could not draw {n} admissible terms with node separation "
@@ -134,17 +135,16 @@ def _aggregated_sequence_condition(omegas, coeffs) -> float:
     where r is the number of distinct omegas.
     """
     groups: dict[complex, complex] = {}
-    for omega, coeff in zip(omegas, coeffs):
-        key = complex(np.round(omega, 12))
+    keys = np.round(np.asarray(omegas, dtype=complex), 12).tolist()
+    for key, coeff in zip(keys, coeffs):
         groups[key] = groups.get(key, 0.0) + coeff
     uniq = np.array(list(groups.keys()), dtype=complex)
     aggs = np.array(list(groups.values()), dtype=complex)
     r = len(uniq)
-    values = np.array(
-        [aggs @ np.exp(uniq * s) for s in range(2 * r - 1)]
-    )
-    idx = np.arange(r)
-    return float(np.linalg.cond(values[idx[:, None] + idx[None, :]]))
+    steps = np.arange(2 * r - 1)[:, None]
+    window = steps[:r] + steps[:r].T
+    values = np.exp(steps * uniq) @ aggs
+    return float(np.linalg.cond(values[window]))
 
 
 def collision_instance(

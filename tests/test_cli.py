@@ -33,6 +33,7 @@ from expsum.cli import (
     main,
     verify_models,
 )
+from expsum._schedule import MAX_TERMS
 from expsum.oracle import read_points_file, write_samples_file
 from expsum.synth import MAX_RANDOM_TERMS, collision_instance, random_model
 
@@ -509,31 +510,42 @@ print(json.dumps(results))
 
 
 def test_huge_term_count_exits_2_with_one_json_object(tmp_path):
-    # each command's first array would take 7.5 to 15 GiB, so it fails
-    # before it touches any memory
+    # a count just above MAX_TERMS, or far above it, is refused before any
+    # point array is built; a dimension whose identity basis needs 74.5 GiB
+    # fails its first allocation, before it touches any memory
     config = write_config(tmp_path / "c.json", [(1.0, 0.0), (0.0, 1.0)],
                           "unknown_n")
     model = tmp_path / "m.json"
     ExponentialModel(2, (Term(1.0, (0.1j, 0.3j)),)).save(model)
     out = str(tmp_path / "out")
-    argvs = [
-        ["plan", "--config", str(config), "--known-n", "1000000000",
-         "--out", out],
-        ["plan", "--config", str(config), "--n-hint", "1000000000",
-         "--out", out],
-        ["recover", "--model", str(model), "--known-n", "1000000000",
-         "--out", out],
+    above = str(MAX_TERMS + 1)
+    cases = [
+        (["plan", "--config", str(config), "--known-n", above, "--out", out],
+         "InputError"),
+        (["plan", "--config", str(config), "--known-n", "1000000000",
+          "--out", out], "InputError"),
+        (["plan", "--config", str(config), "--n-hint", above, "--out", out],
+         "InputError"),
+        (["recover", "--model", str(model), "--known-n", above, "--out", out],
+         "InputError"),
+        (["generate", "--dimension", "100000", "--terms", "1",
+          "--out", str(tmp_path / "g.json")], "MemoryError"),
     ]
     src = str(Path(expsum.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", MEMORY_LIMITED_MAIN, json.dumps(argvs)],
+        [sys.executable, "-c", MEMORY_LIMITED_MAIN,
+         json.dumps([argv for argv, _ in cases])],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    for code, err in json.loads(proc.stdout):
+    for (code, err), (_, error_class) in zip(json.loads(proc.stdout), cases):
         assert code == EXIT_INPUT
-        assert json.loads(err)["error_class"] == "MemoryError"
+        payload = json.loads(err)
+        assert payload["error_class"] == error_class
+        if error_class == "InputError":
+            assert f"[1, {MAX_TERMS}]" in payload["message"]
+    assert not Path(out).exists()
 
 
 def test_recover_requires_exactly_one_source(tmp_path, capsys):
@@ -560,6 +572,35 @@ def test_recover_overflowing_model_exits_with_input_error(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error_class"] == "InputError"
     assert "overflowed or is not finite" in payload["message"]
+
+
+@pytest.mark.parametrize("known_n", [["--known-n", 2], []],
+                         ids=["known-n", "unknown-n"])
+def test_recover_lapack_failure_exits_3_with_one_json_object(
+        tmp_path, capsys, monkeypatch, known_n):
+    model_path = tmp_path / "model.json"
+    ExponentialModel(
+        1, (Term(1.0, (0.3j,)), Term(2.0, (0.1j,)))
+    ).save(model_path)
+
+    svd = np.linalg.svd
+
+    def lapack_fails(a, *args, **kwargs):
+        # the 1 x 1 basis still validates; every Hankel SVD fails
+        if np.shape(a)[-1] == 1:
+            return svd(a, *args, **kwargs)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", lapack_fails)
+    code, _, err = run(
+        ["recover", "--model", model_path, *known_n,
+         "--out", tmp_path / "run"],
+        capsys,
+    )
+    assert code == EXIT_NUMERICAL
+    payload = json.loads(err)
+    assert payload["error_class"] == "SingularMatrixError"
+    assert "did not converge" in payload["message"]
 
 
 def test_recover_overflowing_model_stderr_is_one_json_object(tmp_path):

@@ -25,6 +25,7 @@ from expsum.linalg import (
     vandermonde,
 )
 from expsum.linalg import EPS, condition_estimate, min_cost_matching
+from expsum.multivar import _shift_matrices
 
 
 def test_hankel_definition():
@@ -224,6 +225,28 @@ def test_generalized_eigenvalues_singular_b_raises():
 
 def test_condition_estimate_identity():
     assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
+
+
+def _lapack_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: numerical_rank(np.eye(3)),
+    lambda: condition_estimate(np.eye(3)),
+    lambda: solve(np.eye(3), np.ones(3)),
+    lambda: _shift_matrices([0.1j, 0.7j], [[1.0, 2.0]]),
+], ids=["numerical_rank", "condition_estimate", "solve", "shift_matrices"])
+def test_svd_failure_raises_singular_matrix_error(monkeypatch, call):
+    monkeypatch.setattr(np.linalg, "svd", _lapack_fails)
+    with pytest.raises(SingularMatrixError, match="did not converge"):
+        call()
+
+
+def test_least_squares_failure_raises_rank_deficiency_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "lstsq", _lapack_fails)
+    with pytest.raises(RankDeficiencyError, match="did not converge"):
+        solve_least_squares(np.eye(3), np.ones(3))
 
 
 LARGEST = float(np.finfo(float).max)

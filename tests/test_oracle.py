@@ -23,6 +23,7 @@ from expsum import (
     plan_points,
     recover_known_n,
 )
+from expsum._schedule import MAX_TERMS
 from expsum.oracle import (
     SequenceStream,
     read_points_file,
@@ -279,6 +280,23 @@ def test_plan_points_unknown_length_equals_budget_bound():
     basis = scenario_one_basis()
     points = plan_points(basis, 4, "unknown_n_worst_case")
     assert len(points) == budget_bound(2, 4)
+
+
+@pytest.mark.parametrize("n", [0, MAX_TERMS + 1])
+def test_term_count_outside_the_bound_is_refused_before_sampling(n):
+    basis = identity_basis(2)
+    for mode in ("known_n", "unknown_n_worst_case"):
+        with pytest.raises(InputError, match=rf"\[1, {MAX_TERMS}\]"):
+            plan_points(basis, n, mode)
+    oracle = SyntheticOracle(ExponentialModel(2, (Term(1.0, (0.1j, 0.3j)),)))
+    with pytest.raises(InputError, match=rf"\[1, {MAX_TERMS}\]"):
+        recover_known_n(oracle, basis, n)
+    assert oracle.ledger.count == 0
+
+
+def test_plan_points_accept_the_largest_term_count():
+    points = plan_points(identity_basis(1), MAX_TERMS, "unknown_n_worst_case")
+    assert len(points) == budget_bound(1, MAX_TERMS)
 
 
 def test_plan_points_unknown_covers_adaptive_collision_run():

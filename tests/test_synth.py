@@ -1,14 +1,21 @@
 """Instance generators: admissibility, planted structure, determinism."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum import (GenerationError, InputError, SyntheticOracle,
                     recover_unknown_n, validate_nyquist)
 from expsum.oracle import SequenceStream
 from expsum.prony import detect_sparsity
 from expsum.synth import (
+    CONDITIONING_CAP,
     MAX_RANDOM_TERMS,
+    REAL_RANGE,
     cancellation_instance,
     collision_instance,
     random_basis,
@@ -102,3 +109,75 @@ def test_unknown_n_univariate_degenerate_case():
     report = recover_unknown_n(oracle, basis)
     assert report.detected_n == 3
     assert report.samples_used == 7  # 2n + 1, nothing else to certify
+
+
+# Models drawn by each generator at fixed seeds, and the rng's next
+# uniform draw after it returned.  Any change to the random stream, to the
+# number of draws or to an accept/reject decision moves them.
+PINS = json.loads((Path(__file__).parent / "data" / "synth_pins.json")
+                  .read_text(encoding="utf-8"))
+
+
+def _draw_pinned(case):
+    args = case["args"]
+    rng = np.random.default_rng(args["seed"])
+    d = args["dimension"]
+    basis = random_basis(d, rng)
+    if case["generator"] == "random_model":
+        model = random_model(d, args["n"], rng, basis)
+    elif case["generator"] == "collision_instance":
+        model = collision_instance(
+            d, rng, basis, pile_sizes=tuple(args["pile_sizes"]),
+            deep_collision=args["deep_collision"],
+        )
+    else:
+        model = cancellation_instance(d, rng, basis,
+                                      extra_terms=args["extra_terms"])
+    return model, rng
+
+
+def _complex(pairs):
+    return np.asarray(pairs, dtype=float) @ np.array([1.0, 1j])
+
+
+@pytest.mark.parametrize(
+    "case", PINS,
+    ids=[f"{c['generator']}-seed{c['args']['seed']}" for c in PINS],
+)
+def test_generators_reproduce_their_pinned_draws(case):
+    model, rng = _draw_pinned(case)
+    # values, not bytes: exp may differ by an ulp across CPUs
+    np.testing.assert_allclose(model.coefficients(),
+                               _complex(case["coefficients"]), rtol=1e-12)
+    np.testing.assert_allclose(model.exponent_matrix(),
+                               _complex(case["exponents"]), rtol=1e-12)
+    assert rng.random() == case["next_random"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    margin=st.sampled_from([0.05, 0.1, 0.3]),
+    separation=st.sampled_from([1e-3, 1e-2, 5e-2]),
+)
+def test_random_model_meets_its_documented_contract(d, n, seed, margin,
+                                                    separation):
+    rng = np.random.default_rng(seed)
+    basis = random_basis(d, rng)
+    model = random_model(d, n, rng, basis, nyquist_margin=margin,
+                         min_node_separation=separation)
+    assert model.n_terms == n
+    inner = model.exponent_matrix() @ basis.matrix().T
+    nodes = np.exp(inner[:, 0])
+    gaps = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() >= separation
+    values = np.exp(np.arange(2 * n)[:, None] * inner[:, 0]) \
+        @ model.coefficients()
+    idx = np.arange(n)
+    hankel = values[idx[:, None] + idx]
+    assert np.linalg.cond(hankel) <= CONDITIONING_CAP * (1 + 1e-6)
+    assert np.abs(inner.imag).max() < (1 - margin) * np.pi
+    assert np.abs(inner.real).max() <= REAL_RANGE * (1 + 1e-12)
