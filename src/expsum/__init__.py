@@ -29,11 +29,10 @@ from .linalg import RankDecision
 from .model import (
     DirectionBasis,
     ExponentialModel,
-    Term,
     canonicalize,
     evaluate,
     identity_basis,
-    validate_nyquist,
+    nyquist_margins,
 )
 from .multivar import (
     LevelState,

@@ -20,6 +20,8 @@ BUDGET_CONSTANT = 4
 # cap beyond synth.MAX_RANDOM_TERMS = 24 terms.
 MAX_TERMS = 128
 
+RESCUE_EPSILON_SCALE = 1e-2  # rescue shift norm relative to the base direction
+
 
 def check_term_count(n: int) -> None:
     """Raise :class:`InputError` unless 1 <= n <= MAX_TERMS."""
@@ -45,6 +47,28 @@ def line_points(origin, step, start: int, stop: int) -> np.ndarray:
     return origin + np.arange(start, stop)[:, None] * step
 
 
+def default_rescue_epsilon(direction, seed: int = 0) -> np.ndarray:
+    """Seeded pseudo-random parallel-shift vector with norm
+    RESCUE_EPSILON_SCALE * ||direction||."""
+    direction = np.asarray(direction, dtype=float)
+    rng = np.random.default_rng(seed)
+    for _ in range(16):
+        eps = rng.standard_normal(direction.size)
+        norm = np.linalg.norm(eps)
+        if norm == 0:
+            continue
+        eps = eps / norm * RESCUE_EPSILON_SCALE * np.linalg.norm(direction)
+        if direction.size == 1 or not_parallel(direction, eps):
+            return eps
+    raise InputError("could not draw a shift vector independent of direction")
+
+
+def not_parallel(direction, eps) -> bool:
+    stacked = np.vstack([direction, eps])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    return sv[-1] > 1e-12 * sv[0]
+
+
 def known_n_points(basis, n: int):
     """The (d+1) n points of a fixed-budget run: 2 n base points 0 + s
     delta_0, then per level i = 1 .. d-1 the n points kappa delta_0 +
@@ -68,22 +92,31 @@ def level_points(basis, level: int, weights, kappas, steps) -> np.ndarray:
     return grid.reshape(-1, basis.dimension)
 
 
-def unknown_n_plan(basis, n_hint: int):
+def unknown_n_plan(basis, n_hint: int, rescue_k_max: int = 0, seed: int = 0):
     """Deterministic superset of the points an adaptive run may request.
 
     Enumerates the default schedules (base direction, then each level's
     accumulated-direction grid, advancing s across levels round-robin) and
     pads by extending the same grids until exactly ``budget_bound(d,
     n_hint)`` points are listed; a univariate plan is the base line alone.
+    A run with ``rescue_k_max`` > 0 also probes the parallel lines k eps +
+    s delta_0 (k = 1 .. rescue_k_max, s = 0 .. 2 n_hint, eps the seeded
+    ``default_rescue_epsilon``); their points are listed after those.
     """
     d = basis.dimension
     cap = budget_bound(d, n_hint)
     base_count = cap if d == 1 else 2 * n_hint + 1
-    points = list(line_points(np.zeros(d), basis.direction(0), 0, base_count))
+    step = basis.direction(0)
+    points = list(line_points(np.zeros(d), step, 0, base_count))
     s = 0
     while len(points) < cap:
         s += 1
         for i in range(1, d):
             points.extend(level_points(basis, i, basis.weights_for(i),
                                        basis.multipliers_for(i, n_hint), [s]))
-    return points[:cap]
+    points = points[:cap]
+    if rescue_k_max > 0:
+        eps = default_rescue_epsilon(step, seed)
+        for k in range(1, rescue_k_max + 1):
+            points.extend(line_points(k * eps, step, 0, 2 * n_hint + 1))
+    return points

@@ -24,7 +24,7 @@ from .model import (
     canonicalize,
     evaluate,  # unused; bench/tracer.py wraps ``cli.evaluate`` by name
     identity_basis,
-    validate_nyquist,
+    nyquist_margins,
 )
 from .multivar import (RecoveryConfig, recover_known_n, recover_unknown_n,
                        sample_residuals)
@@ -136,13 +136,13 @@ def cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)  # checked by RecoveryConfig
     model = random_model(
         args.dimension,
-        args.terms,
+        args.n_terms,
         rng,
         basis,
         nyquist_margin=args.nyquist_margin,
     )
-    certificate = validate_nyquist(model, basis)
-    if not certificate.valid:
+    margins = nyquist_margins(model, basis)
+    if not (margins > 0).all():
         raise InputError("generated model failed its admissibility check")
     model.save(args.out)
     _json.emit(
@@ -150,7 +150,7 @@ def cmd_generate(args) -> int:
             "written": str(args.out),
             "dimension": args.dimension,
             "terms": model.n_terms,
-            "min_margin": certificate.min_margin(),
+            "min_margin": float(margins.min()),
         }
     )
     return EXIT_OK
@@ -164,7 +164,8 @@ def cmd_plan(args) -> int:
     if n_hint is None:
         raise InputError("plan needs --known-n, config n, or --n-hint")
     mode = "known_n" if config.mode == "known_n" else "unknown_n_worst_case"
-    points = plan_points(config.basis, n_hint, mode)
+    points = plan_points(config.basis, n_hint, mode,
+                         config.recovery.rescue_k_max, config.recovery.seed)
     write_points_file(args.out, config.basis.dimension, points)
     _json.emit(
         {"written": str(args.out), "points": len(points), "mode": mode}
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a random admissible model file")
     p.add_argument("--dimension", type=int, required=True)
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=int, required=True, dest="n_terms")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nyquist-margin", type=float, default=0.3)
     p.add_argument("--config", type=Path, help="run config providing the basis")

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .model import DirectionBasis, ExponentialModel, Term
+from .model import DirectionBasis, ExponentialModel
 from .multivar import RecoveryConfig, recover_known_n, recover_unknown_n
 from .oracle import SyntheticOracle
 
@@ -30,19 +30,12 @@ _TP = 2 * np.pi
 def demo_model() -> ExponentialModel:
     """The bundled 4-term bivariate model."""
     return ExponentialModel(
-        2,
-        (
-            Term(1.7 * np.exp(1j * _TP / 10), (-0.5, 1 + 1j * _TP * 0.5)),
-            Term(
-                1.1 * np.exp(1j * _TP / 20),
-                (0.1 + 1j * _TP * 3.4, 1.5 + 1j * _TP * 5.2),
-            ),
-            Term(0.9, (0.1 + 1j * _TP * 3.4, -0.5 + 1j * _TP * 12.6)),
-            Term(
-                9.2 * np.exp(1j * _TP / 2),
-                (-2.5 + 1j * _TP * 23.2, -10 + 1j * _TP * 82.3),
-            ),
-        ),
+        [1.7 * np.exp(1j * _TP / 10), 1.1 * np.exp(1j * _TP / 20), 0.9,
+         9.2 * np.exp(1j * _TP / 2)],
+        [(-0.5, 1 + 1j * _TP * 0.5),
+         (0.1 + 1j * _TP * 3.4, 1.5 + 1j * _TP * 5.2),
+         (0.1 + 1j * _TP * 3.4, -0.5 + 1j * _TP * 12.6),
+         (-2.5 + 1j * _TP * 23.2, -10 + 1j * _TP * 82.3)],
     )
 
 
@@ -153,20 +146,13 @@ def run_demo(out=None) -> bool:
         t.check(f"shift log {idx}", shift_logs[j], w_shift, n_shift)
         w_coeff, n_coeff = _S1_COEFFS[idx - 1]
         t.check(f"coefficient {idx}", coeffs[j], w_coeff, n_coeff)
-    recovered = list(report.model.terms)
+    recovered = report.model.exponent_matrix()
     for idx, (want_vec, notes) in enumerate(_S1_EXPONENTS, start=1):
-        j = int(
-            np.argmin(
-                [
-                    np.linalg.norm(np.array(term.exponent) - np.array(want_vec))
-                    for term in recovered
-                ]
-            )
-        )
+        j = int(np.argmin(np.linalg.norm(recovered - want_vec, axis=1)))
         for comp in range(2):
             t.check(
                 f"exponent {idx}[{comp}]",
-                recovered[j].exponent[comp],
+                recovered[j, comp],
                 want_vec[comp],
                 notes[comp],
             )

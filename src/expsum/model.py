@@ -7,7 +7,6 @@ points are real d-vectors; coefficients and exponent components are complex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,66 +24,54 @@ from .errors import (
 INDEPENDENCE_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Term:
-    """One exponential term: a complex coefficient and a d-vector exponent."""
+def _complex_array(values, name: str) -> np.ndarray:
+    """A C-ordered complex copy of numeric ``values``, else InputError."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise InputError(f"malformed model {name}: {exc}") from exc
+    if array.dtype.kind not in "biufc":
+        raise InputError(f"model {name} must be numbers, got {array.dtype}")
+    return np.array(array, dtype=complex, order="C")
 
-    coefficient: complex
-    exponent: tuple[complex, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
-        object.__setattr__(
-            self, "exponent", tuple(complex(z) for z in self.exponent)
-        )
-        if len(self.exponent) == 0:
-            raise InputError("term exponent must have at least one component")
+class ExponentialModel:
+    """A d-variate exponential sum: the n coefficients alpha_j and the (n, d)
+    matrix whose row j is the exponent vector phi_j, stored as read-only
+    C-contiguous complex arrays.  Models compare and hash by value.
+
+    No term raises :class:`DegenerateModelError`, unequal row counts
+    :class:`DimensionMismatchError`, and a ragged or non-numeric input, or
+    d < 1, :class:`InputError`.
+    """
+
+    def __init__(self, coefficients, exponents):
+        coefficients = _complex_array(coefficients, "coefficients")
+        exponents = _complex_array(exponents, "exponents")
+        if coefficients.size == 0:
+            raise DegenerateModelError("model must have at least one term")
+        if coefficients.ndim != 1 or exponents.ndim != 2 or not exponents.size:
+            raise InputError(
+                "need an (n,) coefficient vector and an (n, d) exponent matrix "
+                f"with d >= 1, got shapes {coefficients.shape} and "
+                f"{exponents.shape}"
+            )
+        if len(exponents) != len(coefficients):
+            raise DimensionMismatchError(
+                f"{len(coefficients)} coefficients but {len(exponents)} "
+                "exponent rows"
+            )
+        coefficients.flags.writeable = exponents.flags.writeable = False
+        self._coefficients = coefficients
+        self._exponents = exponents
 
     @property
     def dimension(self) -> int:
-        return len(self.exponent)
-
-
-def _term_sort_key(term: Term):
-    key = []
-    for z in term.exponent:
-        key.append(z.real)
-        key.append(z.imag)
-    return tuple(key)
-
-
-@dataclass(frozen=True)
-class ExponentialModel:
-    """A d-variate exponential sum with an ordered list of terms."""
-
-    dimension: int
-    terms: tuple[Term, ...]
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise InputError(f"dimension must be >= 1, got {self.dimension}")
-        terms = tuple(
-            t if isinstance(t, Term) else Term(*t) for t in self.terms
-        )
-        object.__setattr__(self, "terms", terms)
-        if not terms:
-            raise DegenerateModelError("model must have at least one term")
-        for t in terms:
-            if t.dimension != self.dimension:
-                raise DimensionMismatchError(
-                    f"term exponent has length {t.dimension}, "
-                    f"expected {self.dimension}"
-                )
-        # read-only caches, kept out of the fields so == and hash ignore them
-        coefficients = np.array([t.coefficient for t in terms], dtype=complex)
-        exponents = np.array([t.exponent for t in terms], dtype=complex)
-        coefficients.flags.writeable = exponents.flags.writeable = False
-        object.__setattr__(self, "_coefficients", coefficients)
-        object.__setattr__(self, "_exponents", exponents)
+        return self._exponents.shape[1]
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self._coefficients)
 
     def coefficients(self) -> np.ndarray:
         """Return the read-only vector of term coefficients."""
@@ -94,16 +81,25 @@ class ExponentialModel:
         """Return the read-only (n_terms, dimension) matrix of exponent vectors."""
         return self._exponents
 
+    def __eq__(self, other):
+        if not isinstance(other, ExponentialModel):
+            return NotImplemented
+        return (np.array_equal(self._coefficients, other._coefficients)
+                and np.array_equal(self._exponents, other._exponents))
+
+    def __hash__(self):
+        # Python's hash of a complex agrees with ==, so -0.0 and 0.0 match
+        return hash((self._exponents.shape, *self._coefficients.tolist(),
+                     *self._exponents.ravel().tolist()))
+
     def to_dict(self) -> dict:
+        coeffs = self._coefficients.view(float).reshape(-1, 2).tolist()
+        exponents = self._exponents.view(float).reshape(
+            self.n_terms, -1, 2).tolist()
         return {
             "dimension": self.dimension,
-            "terms": [
-                {
-                    "coeff": [t.coefficient.real, t.coefficient.imag],
-                    "exponent": [[z.real, z.imag] for z in t.exponent],
-                }
-                for t in self.terms
-            ],
+            "terms": [{"coeff": c, "exponent": e}
+                      for c, e in zip(coeffs, exponents)],
         }
 
     @classmethod
@@ -111,16 +107,20 @@ class ExponentialModel:
         data = _json.mapping(data, "model document")
         try:
             dim = _json.integer(data["dimension"], "dimension")
-            terms = tuple(
-                Term(
-                    complex(td["coeff"][0], td["coeff"][1]),
-                    tuple(complex(z[0], z[1]) for z in td["exponent"]),
-                )
-                for td in data["terms"]
-            )
+            coefficients = [complex(td["coeff"][0], td["coeff"][1])
+                            for td in data["terms"]]
+            exponents = [[complex(z[0], z[1]) for z in td["exponent"]]
+                         for td in data["terms"]]
         except (KeyError, TypeError, IndexError) as exc:
             raise InputError(f"malformed model document: {exc}") from exc
-        return cls(dim, terms)
+        if dim < 1:
+            raise InputError(f"dimension must be >= 1, got {dim}")
+        for row in exponents:
+            if len(row) != dim:
+                raise DimensionMismatchError(
+                    f"term exponent has length {len(row)}, expected {dim}"
+                )
+        return cls(coefficients, exponents)
 
     def save(self, path) -> None:
         _json.write(path, self.to_dict())
@@ -166,37 +166,44 @@ def exp_matrix(model: ExponentialModel, points: np.ndarray) -> np.ndarray:
 def canonicalize(model: ExponentialModel, tol: float = 0.0) -> ExponentialModel:
     """Merge duplicate exponent vectors, drop vanished terms, sort.
 
-    Terms whose exponent vectors agree componentwise within ``tol`` are
-    merged by summing coefficients.  A merged term is dropped when its
-    ``|coefficient| <= tol * max |coefficient|`` over the merged terms, so
-    the drop does not depend on the model's overall scale.  The result is
-    sorted by the lexicographic key (Re phi_1, Im phi_1, ..., Re phi_d,
-    Im phi_d) so canonical models compare deterministically.
+    Terms are sorted by the lexicographic key (Re phi_1, Im phi_1, ...,
+    Re phi_d, Im phi_d), so canonical models compare deterministically.  In
+    that order each term joins the first earlier group whose first term's
+    exponent vector agrees with its own componentwise within ``tol``, and a
+    group's coefficients are summed in order.  A merged term is dropped when
+    its ``|coefficient| <= tol * max |coefficient|`` over the merged terms,
+    so the drop does not depend on the model's overall scale.
 
     Raises :class:`DegenerateModelError` if every term cancels.
     """
     if tol < 0:
         raise InputError("tol must be >= 0")
-    ordered = sorted(model.terms, key=_term_sort_key)
-    groups: list[list[Term]] = []
-    for term in ordered:
-        placed = False
-        for group in groups:
-            rep = group[0].exponent
-            if all(abs(a - b) <= tol for a, b in zip(rep, term.exponent)):
-                group.append(term)
-                placed = True
-                break
-        if not placed:
-            groups.append([term])
-    sums = [sum(t.coefficient for t in group) for group in groups]
-    floor = tol * max(map(abs, sums))
-    merged = [Term(coeff, group[0].exponent)
-              for coeff, group in zip(sums, groups) if abs(coeff) > floor]
-    if not merged:
+    exponents = model.exponent_matrix()
+    order = np.lexsort(exponents.view(float).T[::-1])
+    exponents, coefficients = exponents[order], model.coefficients()[order]
+    rows = np.arange(len(order))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # earlier[j, k]: row k < j lies within tol of row j
+        earlier = ((np.abs(exponents[:, None] - exponents[None]) <= tol)
+                   .all(axis=2) & (rows[:, None] > rows))
+        # leader[j] is the first row of row j's group; only a row with an
+        # earlier row within tol can join an earlier group
+        leader = rows.copy()
+        for j in np.flatnonzero(earlier.any(axis=1)):
+            hits = np.flatnonzero(earlier[j] & (leader == rows))
+            if hits.size:
+                leader[j] = hits[0]
+        groups: dict[int, list[complex]] = {}
+        for k, coefficient in zip(leader.tolist(), coefficients.tolist()):
+            groups.setdefault(k, []).append(coefficient)
+        sums = np.array([sum(group) for group in groups.values()],
+                        dtype=complex)
+        magnitudes = np.abs(sums)
+        keep = magnitudes > tol * magnitudes.max()
+    leaders = np.fromiter(groups, dtype=int, count=len(groups))
+    if not keep.any():
         raise DegenerateModelError("all terms cancelled during canonicalization")
-    merged.sort(key=_term_sort_key)
-    return ExponentialModel(model.dimension, tuple(merged))
+    return ExponentialModel(sums[keep], exponents[leaders[keep]])
 
 
 @dataclass(frozen=True)
@@ -212,6 +219,8 @@ class DirectionBasis:
     level (1-based); by default level i uses 0, 1, 2, ...  ``combination
     _weights`` optionally reweights the accumulated direction used by the
     collision-aware driver at levels >= 2; all weights must be nonzero.
+    Both are checked here: a level outside 1 .. d-1, or level-i weights
+    that are not i in number, raise :class:`InvalidBasisError`.
     """
 
     dimension: int
@@ -250,7 +259,7 @@ class DirectionBasis:
             )
         mult = {}
         for level, kappas in dict(self.multipliers).items():
-            level = int(level)
+            level = _shift_level(level, d, "multipliers")
             vals = tuple(float(k) for k in kappas)
             if len(set(vals)) != len(vals):
                 raise InvalidBasisError(
@@ -260,8 +269,13 @@ class DirectionBasis:
         object.__setattr__(self, "multipliers", mult)
         weights = {}
         for level, ws in dict(self.combination_weights).items():
-            level = int(level)
+            level = _shift_level(level, d, "combination weights")
             vals = tuple(float(w) for w in ws)
+            if len(vals) != level:
+                raise InvalidBasisError(
+                    f"level {level} needs {level} combination weights, "
+                    f"got {len(vals)}"
+                )
             if any(w == 0 for w in vals):
                 raise InvalidBasisError(
                     f"combination weights for level {level} must be nonzero"
@@ -292,11 +306,6 @@ class DirectionBasis:
         pinned = self.combination_weights.get(level)
         if pinned is None:
             return np.ones(level)
-        if len(pinned) != level:
-            raise InvalidBasisError(
-                f"level {level} needs {level} combination weights, "
-                f"got {len(pinned)}"
-            )
         return np.asarray(pinned, dtype=float)
 
     def to_dict(self) -> dict:
@@ -331,6 +340,17 @@ class DirectionBasis:
             raise InputError(f"malformed basis document: {exc}") from exc
 
 
+def _shift_level(level, dimension: int, what: str) -> int:
+    """A pinned level as an int; levels 1 .. dimension-1 exist."""
+    level = int(level)
+    if not 1 <= level < dimension:
+        raise InvalidBasisError(
+            f"{what} pinned for level {level}, which a {dimension}-"
+            "dimensional basis lacks (its shift levels are 1 .. d-1)"
+        )
+    return level
+
+
 def identity_basis(dimension: int) -> DirectionBasis:
     """The standard basis: base direction e_1, shifts e_2 ... e_d."""
     if dimension < 1:
@@ -339,48 +359,20 @@ def identity_basis(dimension: int) -> DirectionBasis:
     return DirectionBasis(dimension, tuple(tuple(row) for row in eye))
 
 
-@dataclass(frozen=True)
-class NyquistCertificate:
-    """Aliasing-margin certificate for a (model, basis) pair.
+def nyquist_margins(model: ExponentialModel, basis: DirectionBasis) -> np.ndarray:
+    """The (n_terms, dimension) array of aliasing margins of a (model, basis) pair.
 
-    ``margins[j][i]`` is the slack pi/||delta_i|| - |Im <phi_j, delta_i>| /
-    ||delta_i|| in radians.  The pair is admissible (principal-branch
-    logarithms recover the true inner products) iff every margin is
-    strictly positive.
-    """
-
-    model: ExponentialModel
-    basis: DirectionBasis
-    margins: tuple[tuple[float, ...], ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(m > 0 for row in self.margins for m in row)
-
-    def min_margin(self) -> float:
-        return min(m for row in self.margins for m in row)
-
-
-def validate_nyquist(model: ExponentialModel, basis: DirectionBasis) -> NyquistCertificate:
-    """Compute the per-(term, direction) aliasing margins.
-
-    A margin is positive exactly when the imaginary part of the term's
-    inner product with that direction lies strictly inside (-pi, pi), so
-    the principal logarithm of the corresponding node is unambiguous.
+    Entry (j, i) is the slack pi/||delta_i|| - |Im <phi_j, delta_i>| /
+    ||delta_i|| in radians.  It is positive exactly when the imaginary part
+    of the term's inner product with that direction lies strictly inside
+    (-pi, pi), so the principal logarithm of the corresponding node is
+    unambiguous; the pair is admissible iff every margin is positive.
     """
     if basis.dimension != model.dimension:
         raise DimensionMismatchError(
             f"basis dimension {basis.dimension} != model dimension "
             f"{model.dimension}"
         )
-    exponents = model.exponent_matrix()
-    margins = []
-    for j in range(model.n_terms):
-        row = []
-        for i in range(basis.dimension):
-            direction = basis.direction(i)
-            norm = float(np.linalg.norm(direction))
-            inner = complex(exponents[j] @ direction)
-            row.append((math.pi - abs(inner.imag)) / norm)
-        margins.append(tuple(row))
-    return NyquistCertificate(model, basis, tuple(margins))
+    directions = basis.matrix()
+    inner = model.exponent_matrix() @ directions.T
+    return (np.pi - np.abs(inner.imag)) / np.linalg.norm(directions, axis=1)

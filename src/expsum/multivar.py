@@ -21,8 +21,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _json, linalg
-from ._schedule import (budget_bound, check_term_count, known_n_points,
-                        level_points)
+from ._schedule import (budget_bound, check_term_count,
+                        default_rescue_epsilon, known_n_points, level_points,
+                        not_parallel)
 from .errors import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -40,7 +41,6 @@ from .linalg import RankDecision
 from .model import (
     DirectionBasis,
     ExponentialModel,
-    Term,
     canonicalize,
     evaluate,
     exp_matrix,
@@ -71,7 +71,6 @@ NODE_TOL = 1e-6
 # Exponents this close componentwise merge; a merged term is dropped when its
 # coefficient is this small relative to the largest one.
 MERGE_TOL = 1e-9
-RESCUE_EPSILON_SCALE = 1e-2  # rescue shift norm relative to the base direction
 # A level redraws its multipliers or weights up to MAX_LEVEL_RETRIES times
 # while its shift system's condition estimate exceeds LEVEL_CONDITION_LIMIT.
 # The limit is below 1 / linalg.SINGULAR_RTOL (about 4.5e12), so an accepted
@@ -310,28 +309,6 @@ def disentangle_pile(pile_sequence, r: int):
     return sub_nodes, sub_coeffs
 
 
-def default_rescue_epsilon(direction, seed: int = 0) -> np.ndarray:
-    """Seeded pseudo-random parallel-shift vector with norm
-    RESCUE_EPSILON_SCALE * ||direction||."""
-    direction = np.asarray(direction, dtype=float)
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        eps = rng.standard_normal(direction.size)
-        norm = np.linalg.norm(eps)
-        if norm == 0:
-            continue
-        eps = eps / norm * RESCUE_EPSILON_SCALE * np.linalg.norm(direction)
-        if direction.size == 1 or _not_parallel(direction, eps):
-            return eps
-    raise InputError("could not draw a shift vector independent of direction")
-
-
-def _not_parallel(direction, eps) -> bool:
-    stacked = np.vstack([direction, eps])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return sv[-1] > 1e-12 * sv[0]
-
-
 def cancellation_rescue(
     oracle: Oracle,
     direction,
@@ -353,7 +330,7 @@ def cancellation_rescue(
     eps = np.asarray(epsilon, dtype=float)
     if k_max < 0:
         raise InputError("k_max must be >= 0")
-    if k_max >= 1 and not _not_parallel(direction, eps):
+    if k_max >= 1 and not not_parallel(direction, eps):
         raise InputError("epsilon must not be parallel to the direction")
 
     def probe(k):
@@ -439,10 +416,7 @@ class _Run:
 def _model(exponents, coefficients) -> ExponentialModel:
     """Canonical model of the terms pairing each coefficient with its row of
     the (terms, d) ``exponents`` array."""
-    terms = tuple(map(Term, coefficients, exponents.tolist()))
-    return canonicalize(
-        ExponentialModel(exponents.shape[1], terms), MERGE_TOL
-    )
+    return canonicalize(ExponentialModel(coefficients, exponents), MERGE_TOL)
 
 
 def _report(model, points, values, levels, decisions, warnings, alphas, f0):
@@ -585,6 +559,12 @@ def _base_stage(run: _Run):
                 f"{rescued.rank}"
             )
             nu, fit_stream = rescued.rank, rescue_stream
+    if nu == 0:
+        raise CancellationSuspectedError(
+            "the base line shows no term (rank 0 with rescue_k_max = "
+            f"{config.rescue_k_max}); its coefficients may cancel: raise "
+            "rescue_k_max to probe parallel lines"
+        )
 
     fit_stream.ensure(2 * nu)
     logs = take_logs(fit_nodes(fit_stream.values, nu))

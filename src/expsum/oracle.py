@@ -238,20 +238,23 @@ class SequenceStream:
             self.values.extend(self.oracle.sample_many(points).tolist())
 
 
-def plan_points(basis: DirectionBasis, n_hint: int, mode: str = "known_n"):
+def plan_points(basis: DirectionBasis, n_hint: int, mode: str = "known_n",
+                rescue_k_max: int = 0, seed: int = 0):
     """Deterministic list of points a recovery run will (or may) request.
 
     ``known_n`` returns the exact (d+1) n points of the fixed-budget driver.
     ``unknown_n_worst_case`` returns the superset the adaptive driver may
     request under default schedules, padded to the budget bound, so samples
-    can be collected offline for a :class:`TabulatedOracle`.
+    can be collected offline for a :class:`TabulatedOracle`; given the run's
+    ``rescue_k_max`` and ``seed``, it adds the cancellation rescue's lines.
+    Level retries draw random multipliers that no plan lists.
     """
     check_term_count(n_hint)
     if mode == "known_n":
         base, _, shifts = known_n_points(basis, n_hint)
         return [*base, *shifts.reshape(-1, basis.dimension)]
     if mode == "unknown_n_worst_case":
-        return unknown_n_plan(basis, n_hint)
+        return unknown_n_plan(basis, n_hint, rescue_k_max, seed)
     raise InputError(f"unknown planning mode: {mode!r}")
 
 

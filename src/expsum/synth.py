@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenerationError, InputError
-from .model import DirectionBasis, ExponentialModel, Term, canonicalize
+from .model import DirectionBasis, ExponentialModel, canonicalize
 
 COEFF_MODULUS_RANGE = (0.1, 10.0)
 REAL_RANGE = 0.15  # bound on |Re <phi_j, delta_i>| of every generated term
@@ -62,7 +62,9 @@ def random_coefficients(n: int, rng) -> np.ndarray:
 
 
 def model_from_inner_products(psi, basis: DirectionBasis, coefficients) -> ExponentialModel:
-    """Build the model whose inner products with the basis directions are psi."""
+    """The model with these coefficients whose exponent matrix Phi solves
+    psi = Phi D^T, D being the stacked basis directions: row j of psi holds
+    term j's inner products with the directions."""
     psi = np.asarray(psi, dtype=complex)
     coeffs = np.asarray(coefficients, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != basis.dimension:
@@ -71,11 +73,7 @@ def model_from_inner_products(psi, basis: DirectionBasis, coefficients) -> Expon
         )
     if coeffs.shape != (psi.shape[0],):
         raise InputError("one coefficient per psi row is required")
-    phis = np.linalg.solve(basis.matrix(), psi.T).T
-    return ExponentialModel(
-        basis.dimension,
-        tuple(Term(complex(a), tuple(row)) for a, row in zip(coeffs, phis)),
-    )
+    return ExponentialModel(coeffs, np.linalg.solve(basis.matrix(), psi.T).T)
 
 
 def random_model(
@@ -252,11 +250,13 @@ def cancellation_instance(
 ) -> ExponentialModel:
     """Model with one two-term pile whose coefficients sum exactly to zero.
 
-    The hidden pile is invisible to base-line rank detection and only
-    reappears under parallel-shift probing.  Forcing the cancellation
-    changes the aggregated structure, so the visible base line and the
-    hidden pile's shift-level sequence are re-validated and the whole
-    construction is redrawn if either became ill-conditioned.
+    A collision instance's two-term pile gets coefficients (alpha, -alpha)
+    in a copy of its coefficient vector.  The hidden pile is invisible to
+    base-line rank detection and only reappears under parallel-shift
+    probing.  Forcing the cancellation changes the aggregated structure, so
+    the visible base line and the hidden pile's shift-level sequence are
+    re-validated and the whole construction is redrawn if either became
+    ill-conditioned.
     """
     if dimension < 2:
         raise InputError("cancellation instances need dimension >= 2")
@@ -266,10 +266,10 @@ def cancellation_instance(
         )
         # force the two-pile coefficients to cancel: alpha_2 = -alpha_1
         inner = model.exponent_matrix() @ basis.matrix().T
-        terms = list(model.terms)
+        coeffs = model.coefficients().copy()
         pile_members = []
-        for j in range(len(terms)):
-            for k in range(j + 1, len(terms)):
+        for j in range(model.n_terms):
+            for k in range(j + 1, model.n_terms):
                 if abs(np.exp(inner[j, 0]) - np.exp(inner[k, 0])) < 1e-9:
                     pile_members = [j, k]
                     break
@@ -278,18 +278,16 @@ def cancellation_instance(
         if not pile_members:
             raise GenerationError("planted pile lost during canonicalization")
         j, k = pile_members
-        terms[k] = Term(-terms[j].coefficient, terms[k].exponent)
+        coeffs[k] = -coeffs[j]
         hidden_cond = _aggregated_sequence_condition(
-            [inner[j, 1], inner[k, 1]],
-            [terms[j].coefficient, terms[k].coefficient],
+            inner[[j, k], 1], coeffs[[j, k]]
         )
-        visible = [m for m in range(len(terms)) if m not in (j, k)]
+        visible = [m for m in range(model.n_terms) if m not in (j, k)]
         visible_cond = _aggregated_sequence_condition(
-            [inner[m, 0] for m in visible],
-            [terms[m].coefficient for m in visible],
+            inner[visible, 0], coeffs[visible]
         )
         if hidden_cond <= CONDITIONING_CAP and visible_cond <= CONDITIONING_CAP:
-            return ExponentialModel(dimension, tuple(terms))
+            return ExponentialModel(coeffs, model.exponent_matrix())
     raise GenerationError(
         "could not build a well-conditioned cancellation instance"
     )

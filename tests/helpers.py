@@ -3,9 +3,9 @@
 import numpy as np
 
 from expsum import (
+    DegenerateModelError,
     DirectionBasis,
     ExponentialModel,
-    Term,
     canonicalize,
 )
 from expsum.cli import verify_models
@@ -57,12 +57,37 @@ def fold_to_principal(model: ExponentialModel, basis: DirectionBasis) -> Exponen
     im = np.where(np.isclose(im, -np.pi), np.pi, im)
     folded = inner.real + 1j * im
     phis = np.linalg.solve(matrix, folded.T).T
-    return canonicalize(
-        ExponentialModel(
-            model.dimension,
-            tuple(
-                Term(t.coefficient, tuple(row))
-                for t, row in zip(model.terms, phis)
-            ),
-        )
-    )
+    return canonicalize(ExponentialModel(model.coefficients(), phis))
+
+
+def reference_canonicalize(coefficients, exponents, tol: float = 0.0):
+    """The term-list algorithm :func:`expsum.canonicalize` replaced, kept as
+    its reference.  Terms are (coefficient, exponent tuple) pairs sorted with
+    ``sorted`` on the key (Re phi_1, Im phi_1, ..., Re phi_d, Im phi_d); in
+    that order each joins the first earlier group whose first term is within
+    ``tol`` componentwise (complex ``abs``), each group's coefficients are
+    added with ``sum``, a sum with ``|sum| <= tol * max |sum|`` is dropped,
+    and the survivors are sorted again.  Returns the coefficient and
+    exponent arrays of the result."""
+    def key(term):
+        return tuple(part for z in term[1] for part in (z.real, z.imag))
+
+    terms = [(complex(a), tuple(complex(z) for z in row))
+             for a, row in zip(coefficients, exponents)]
+    groups = []
+    for term in sorted(terms, key=key):
+        for group in groups:
+            if all(abs(a - b) <= tol for a, b in zip(group[0][1], term[1])):
+                group.append(term)
+                break
+        else:
+            groups.append([term])
+    sums = [sum(coefficient for coefficient, _ in group) for group in groups]
+    floor = tol * max(map(abs, sums))
+    merged = [(total, group[0][1]) for total, group in zip(sums, groups)
+              if abs(total) > floor]
+    if not merged:
+        raise DegenerateModelError("all terms cancelled during canonicalization")
+    merged.sort(key=key)
+    return (np.array([c for c, _ in merged], dtype=complex),
+            np.array([e for _, e in merged], dtype=complex))

@@ -24,7 +24,6 @@ from expsum import (
     SingularMatrixError,
     SyntheticOracle,
     TabulatedOracle,
-    Term,
     identity_basis,
     plan_points,
     recover_known_n,
@@ -180,10 +179,7 @@ def test_detect_sparsity_asks_for_each_pair_later_index_first():
 
 
 def test_known_n_cancellation_stops_after_the_base_samples():
-    model = ExponentialModel(
-        2,
-        (Term(1.0, (0.2 + 0.3j, 1.0j)), Term(8e-13, (4.0 - 2.8j, 0.4j))),
-    )
+    model = ExponentialModel([1.0, 8e-13], [(0.2 + 0.3j, 1.0j), (4.0 - 2.8j, 0.4j)])
     oracle = SyntheticOracle(model)
     with pytest.raises(CancellationSuspectedError):
         recover_known_n(oracle, identity_basis(2), 2)
@@ -268,7 +264,7 @@ def test_unknown_n_singular_level_matrix_retries():
 
 
 def overflowing_model() -> ExponentialModel:
-    return ExponentialModel(1, (Term(1.0, (800.0,)), Term(2.0, (0.1j,))))
+    return ExponentialModel([1.0, 2.0], [(800.0,), (0.1j,)])
 
 
 def test_known_n_rejects_an_overflowing_source_with_an_empty_ledger():

@@ -17,7 +17,6 @@ from expsum import (
     ExponentialModel,
     NoisyOracle,
     SyntheticOracle,
-    Term,
     canonicalize,
     evaluate,
     identity_basis,
@@ -153,6 +152,71 @@ def test_recover_unknown_mode_via_samples_file(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("seed", [[], ["--seed", 5]], ids=["config", "flag"])
+def test_plan_lists_the_rescue_lines_of_the_run_config(tmp_path, capsys, seed):
+    # an adaptive run with rescue_k_max = 2 probes two lines parallel to the
+    # base line; an offline run finds their samples only if the plan lists them
+    basis = identity_basis(2)
+    model = collision_instance(2, np.random.default_rng(0), basis, (2, 1))
+    model_path = tmp_path / "model.json"
+    model.save(model_path)
+    cfg = write_config(tmp_path / "cfg.json", [[1.0, 0.0], [0.0, 1.0]],
+                       mode="unknown_n", recovery={"rescue_k_max": 2})
+    points_path = tmp_path / "points.txt"
+    code, _, _ = run(["plan", "--config", cfg, "--n-hint", 6, *seed,
+                      "--out", points_path], capsys)
+    assert code == EXIT_OK
+    dim, points = read_points_file(points_path)
+    samples_path = tmp_path / "samples.txt"
+    write_samples_file(samples_path, dim,
+                       [(p, evaluate(model, np.asarray(p))) for p in points])
+    reports = []
+    for source in (["--model", model_path], ["--samples", samples_path]):
+        out_dir = tmp_path / source[0][2:]
+        code, _, err = run(["recover", "--config", cfg, *source, *seed,
+                            "--out", out_dir], capsys)
+        assert code == EXIT_OK, err
+        reports.append(json.loads((out_dir / "report.json").read_text()))
+    live, offline = reports
+    assert live["detected_n"] == offline["detected_n"] == 3
+    assert live["samples_used"] == offline["samples_used"]
+    assert [r["point"] for r in live["residuals"]] == \
+        [r["point"] for r in offline["residuals"]]
+
+
+def test_recover_of_a_fully_cancelled_base_line_exits_3(tmp_path, capsys):
+    # both terms share the base inner product and their coefficients cancel,
+    # so the base line is zero; without a rescue the run cannot see them
+    model_path = tmp_path / "model.json"
+    ExponentialModel([1.0, -1.0], [(0.1j, 0.2j), (0.1j, 0.5j)]).save(
+        model_path)
+    code, _, err = run(["recover", "--model", model_path,
+                        "--out", tmp_path / "run"], capsys)
+    assert code == EXIT_NUMERICAL
+    payload = json.loads(err)
+    assert payload["error_class"] == "CancellationSuspectedError"
+    assert "rescue_k_max" in payload["message"]
+
+
+@pytest.mark.parametrize("pinned", [
+    {"multipliers": {"5": [0, 1, 2]}},
+    {"combination_weights": {"1": [1.0, 2.0]}},
+], ids=["multipliers-missing-level", "weights-wrong-length"])
+def test_config_pinning_a_missing_level_exits_2(tmp_path, capsys, pinned):
+    model_path = tmp_path / "model.json"
+    ExponentialModel([1.0], [(0.1j, 0.3j)]).save(model_path)
+    config = write_config(tmp_path / "config.json", [(1.0, 0.0), (0.0, 1.0)],
+                          "unknown_n")
+    doc = json.loads(config.read_text())
+    doc["basis"].update(pinned)
+    config.write_text(json.dumps(doc))
+    code, _, err = run(["recover", "--config", config, "--model", model_path,
+                        "--out", tmp_path / "run"], capsys)
+    assert code == EXIT_INPUT
+    assert json.loads(err)["error_class"] == "InvalidBasisError"
+    assert not (tmp_path / "run").exists()
+
+
 def test_recover_missing_sample_names_point(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json", [[1.0, 0.0], [0.0, 1.0]],
@@ -235,7 +299,7 @@ def test_malformed_json_input_exits_with_input_error(tmp_path, capsys, command,
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     model_path = tmp_path / "model.json"
-    ExponentialModel(1, (Term(1.0, (1j,)),)).save(model_path)
+    ExponentialModel([1.0], [(1j,)]).save(model_path)
     argv = {
         "model": ["recover", "--model", bad, "--known-n", 1,
                   "--out", tmp_path / "run"],
@@ -282,7 +346,7 @@ def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     model_path = tmp_path / "model.json"
-    ExponentialModel(1, (Term(1.0, (1j,)),)).save(model_path)
+    ExponentialModel([1.0], [(1j,)]).save(model_path)
     argv = {
         "model": ["recover", "--model", bad, "--known-n", 1,
                   "--out", tmp_path / "run"],
@@ -322,8 +386,8 @@ def test_recovery_loads_no_scipy():
     # the base Hankel matrix of this model has condition 1.7e8
     code = (
         "from expsum import *; "
-        "m = ExponentialModel(1, (Term(1, (0.3j,)), "
-        "Term(1, (0.3j + 3e-4 * (1 + 1j),)), Term(2, (-1.1j,)))); "
+        "m = ExponentialModel([1, 1, 2], "
+        "[(0.3j,), (0.3j + 3e-4 * (1 + 1j),), (-1.1j,)]); "
         "r = recover_known_n(SyntheticOracle(m), identity_basis(1), 3); "
         "assert r.detected_n == 3"
     )
@@ -333,13 +397,13 @@ def test_recovery_loads_no_scipy():
 def verify_pair(tmp_path):
     """A model file, the same terms in reverse order, and a copy with one
     coefficient off by 1%."""
-    terms = (Term(1.0, (0.1 + 0.3j, 0.2j)), Term(2.0, (-0.1 + 1.1j, -0.5j)),
-             Term(-1.5, (0.05 - 0.7j, 0.9j)))
+    coeffs = np.array([1.0, 2.0, -1.5])
+    exponents = np.array([(0.1 + 0.3j, 0.2j), (-0.1 + 1.1j, -0.5j),
+                          (0.05 - 0.7j, 0.9j)])
     paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
-    ExponentialModel(2, terms).save(paths[0])
-    ExponentialModel(2, terms[::-1]).save(paths[1])
-    ExponentialModel(2, (Term(1.01, terms[0].exponent),) + terms[1:]).save(
-        paths[2])
+    ExponentialModel(coeffs, exponents).save(paths[0])
+    ExponentialModel(coeffs[::-1], exponents[::-1]).save(paths[1])
+    ExponentialModel([1.01, *coeffs[1:]], exponents).save(paths[2])
     return [str(p) for p in paths]
 
 
@@ -455,10 +519,9 @@ def verify_parity_pairs():
         truth = random_model(d, n, rng, basis)
         noisy = NoisyOracle(SyntheticOracle(truth), 1e-6, seed=seed)
         yield truth, recover_known_n(noisy, basis, n).model
-        moved = [Term(t.coefficient, tuple(
-            np.asarray(t.exponent) + rng.uniform(-0.3, 0.3, d)))
-            for t in truth.terms]
-        yield truth, ExponentialModel(d, tuple(moved))
+        exponents = truth.exponent_matrix()
+        moved = exponents + rng.uniform(-0.3, 0.3, exponents.shape)
+        yield truth, ExponentialModel(truth.coefficients(), moved)
     for seed in range(6):
         basis = identity_basis(2)
         truth = collision_instance(2, rng, basis, pile_sizes=(2, 1))
@@ -469,8 +532,8 @@ def test_verify_models_matches_the_scipy_reference():
     rng = np.random.default_rng(6)
     for truth, other in verify_parity_pairs():
         order = rng.permutation(other.n_terms)
-        permuted = ExponentialModel(
-            other.dimension, tuple(other.terms[k] for k in order))
+        permuted = ExponentialModel(other.coefficients()[order],
+                                    other.exponent_matrix()[order])
         for tol in (1e-6, 1e-1):
             want = scipy_verify_models(truth, other, tol)
             assert verify_models(truth, permuted, tol) == want
@@ -516,7 +579,7 @@ def test_huge_term_count_exits_2_with_one_json_object(tmp_path):
     config = write_config(tmp_path / "c.json", [(1.0, 0.0), (0.0, 1.0)],
                           "unknown_n")
     model = tmp_path / "m.json"
-    ExponentialModel(2, (Term(1.0, (0.1j, 0.3j)),)).save(model)
+    ExponentialModel([1.0], [(0.1j, 0.3j)]).save(model)
     out = str(tmp_path / "out")
     above = str(MAX_TERMS + 1)
     cases = [
@@ -558,9 +621,7 @@ def test_recover_requires_exactly_one_source(tmp_path, capsys):
 
 def test_recover_overflowing_model_exits_with_input_error(tmp_path, capsys):
     model_path = tmp_path / "model.json"
-    ExponentialModel(
-        1, (Term(1.0, (800.0,)), Term(2.0, (0.1j,)))
-    ).save(model_path)
+    ExponentialModel([1.0, 2.0], [(800.0,), (0.1j,)]).save(model_path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         code, _, err = run(
@@ -579,9 +640,7 @@ def test_recover_overflowing_model_exits_with_input_error(tmp_path, capsys):
 def test_recover_lapack_failure_exits_3_with_one_json_object(
         tmp_path, capsys, monkeypatch, known_n):
     model_path = tmp_path / "model.json"
-    ExponentialModel(
-        1, (Term(1.0, (0.3j,)), Term(2.0, (0.1j,)))
-    ).save(model_path)
+    ExponentialModel([1.0, 2.0], [(0.3j,), (0.1j,)]).save(model_path)
 
     svd = np.linalg.svd
 
@@ -606,9 +665,7 @@ def test_recover_lapack_failure_exits_3_with_one_json_object(
 def test_recover_overflowing_model_stderr_is_one_json_object(tmp_path):
     # numpy's overflow warnings would otherwise precede the error object
     model_path = tmp_path / "model.json"
-    ExponentialModel(
-        1, (Term(1.0, (800.0,)), Term(2.0, (0.1j,)))
-    ).save(model_path)
+    ExponentialModel([1.0, 2.0], [(800.0,), (0.1j,)]).save(model_path)
     src = str(Path(expsum.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -627,11 +684,10 @@ def test_recover_subnormal_data_stderr_is_one_json_object(tmp_path, source,
                                                           known_n):
     if source == "model":
         path = tmp_path / "model.json"
-        ExponentialModel(2, (
-            Term(1e-310, (0.1 + 0.3j, 0.2j)),
-            Term(2e-310, (-0.1 + 1.1j, -0.5j)),
-            Term(-1.5e-310, (0.05 - 0.7j, 0.9j)),
-        )).save(path)
+        ExponentialModel(
+            [1e-310, 2e-310, -1.5e-310],
+            [(0.1 + 0.3j, 0.2j), (-0.1 + 1.1j, -0.5j), (0.05 - 0.7j, 0.9j)],
+        ).save(path)
     else:
         path = tmp_path / "samples.txt"
         # two terms, 1e-310 * (1 + 0.5**s), on the points s = 0..5
@@ -666,7 +722,7 @@ def run_module(argv):
 def test_parsed_input_that_defeats_numpy_exits_2_with_one_json_object(
         tmp_path, case):
     def one_term(name, coefficient, exponent):
-        ExponentialModel(1, (Term(coefficient, (exponent,)),)).save(
+        ExponentialModel([coefficient], [(exponent,)]).save(
             tmp_path / name)
         return tmp_path / name
 
@@ -713,11 +769,10 @@ def test_parsed_input_that_defeats_numpy_exits_2_with_one_json_object(
 def test_overflowing_shift_matrix_exits_3_with_one_json_object(
         tmp_path, mode, pinned):
     model_path = tmp_path / "model.json"
-    ExponentialModel(2, (
-        Term(1.0, (0.1 + 0.3j, 0.2j)),
-        Term(2.0, (-0.1 + 1.1j, -0.5j)),
-        Term(-1.5, (0.05 - 0.7j, 0.9j)),
-    )).save(model_path)
+    ExponentialModel(
+        [1.0, 2.0, -1.5],
+        [(0.1 + 0.3j, 0.2j), (-0.1 + 1.1j, -0.5j), (0.05 - 0.7j, 0.9j)],
+    ).save(model_path)
     config = write_config(tmp_path / "config.json", [(1.0, 0.0), (0.0, 1.0)],
                           mode, n=3)
     doc = json.loads(config.read_text())
@@ -737,8 +792,8 @@ def test_public_names_are_the_user_facing_api():
         "recover_known_n", "recover_unknown_n", "RecoveryConfig",
         "RecoveryReport", "LevelState", "RankDecision", "budget_bound",
         # models and bases
-        "ExponentialModel", "Term", "DirectionBasis", "identity_basis",
-        "canonicalize", "evaluate", "validate_nyquist",
+        "ExponentialModel", "DirectionBasis", "identity_basis",
+        "canonicalize", "evaluate", "nyquist_margins",
         # sample sources
         "Oracle", "SyntheticOracle", "NoisyOracle", "TabulatedOracle",
         "SampleLedger", "SequenceStream", "plan_points",
@@ -755,7 +810,9 @@ def test_public_names_are_the_user_facing_api():
 def test_demo_command_passes(capsys):
     code, out, _ = run(["demo"], capsys)
     assert code == EXIT_OK
-    assert "demo PASSED" in out
+    # the whole transcript, byte for byte, including "demo PASSED"
+    frozen = Path(__file__).parent / "data" / "demo_transcript.txt"
+    assert out == frozen.read_text(encoding="utf-8")
 
 
 def test_recover_io_paths_from_config(tmp_path, capsys):

@@ -15,7 +15,6 @@ from expsum import (
     ExponentialModel,
     RecoveryConfig,
     SyntheticOracle,
-    Term,
     budget_bound,
     canonicalize,
     evaluate,
@@ -77,12 +76,8 @@ def test_known_n_collision_raises_with_nu():
     basis = identity_basis(2)
     # two terms with identical first exponent component collide along e_1
     model = ExponentialModel(
-        2,
-        (
-            Term(1.0, (0.2 + 0.3j, 1.0j)),
-            Term(2.0, (0.2 + 0.3j, -0.7j)),
-            Term(1.5, (-0.1 + 1.1j, 0.4j)),
-        ),
+        [1.0, 2.0, 1.5],
+        [(0.2 + 0.3j, 1.0j), (0.2 + 0.3j, -0.7j), (-0.1 + 1.1j, 0.4j)],
     )
     oracle = SyntheticOracle(model)
     with pytest.raises(CollisionDetectedError) as err:
@@ -99,12 +94,8 @@ def test_known_n_near_coincident_nodes_detected(monkeypatch):
     monkeypatch.setattr("expsum.multivar.NODE_TOL", 1e-3)
     basis = identity_basis(2)
     model = ExponentialModel(
-        2,
-        (
-            Term(1.0, (0.2 + 0.3j, 1.0j)),
-            Term(2.0, (0.2 + 0.3j + 1e-4, -0.7j)),
-            Term(1.5, (-0.1 + 1.1j, 0.4j)),
-        ),
+        [1.0, 2.0, 1.5],
+        [(0.2 + 0.3j, 1.0j), (0.2 + 0.3j + 1e-4, -0.7j), (-0.1 + 1.1j, 0.4j)],
     )
     oracle = SyntheticOracle(model)
     with pytest.raises(CollisionDetectedError, match="nearly coincide"):
@@ -113,13 +104,7 @@ def test_known_n_near_coincident_nodes_detected(monkeypatch):
 
 def test_known_n_tiny_coefficient_flags_cancellation():
     basis = identity_basis(2)
-    model = ExponentialModel(
-        2,
-        (
-            Term(1.0, (0.2 + 0.3j, 1.0j)),
-            Term(8e-13, (4.0 - 2.8j, 0.4j)),
-        ),
-    )
+    model = ExponentialModel([1.0, 8e-13], [(0.2 + 0.3j, 1.0j), (4.0 - 2.8j, 0.4j)])
     oracle = SyntheticOracle(model)
     with pytest.raises(CancellationSuspectedError):
         recover_known_n(oracle, basis, 2)
@@ -337,6 +322,19 @@ def test_unknown_n_with_rescue_recovers_cancellation_instance():
     assert any("rescue" in w for w in report.warnings)
 
 
+def test_unknown_n_fully_cancelled_base_line_needs_the_rescue():
+    # both terms share the base inner product and their coefficients cancel,
+    # so every base sample is zero and the base rank is 0
+    model = ExponentialModel([1.0, -1.0], [(0.1j, 0.2j), (0.1j, 0.5j)])
+    basis = identity_basis(2)
+    with pytest.raises(CancellationSuspectedError, match="rescue_k_max = 0"):
+        recover_unknown_n(SyntheticOracle(model), basis)
+    report = recover_unknown_n(SyntheticOracle(model), basis,
+                               RecoveryConfig(rescue_k_max=2))
+    assert report.detected_n == 2
+    assert model_error(report.model, model) < 1e-6
+
+
 def test_budget_bound_values():
     assert budget_bound(3, 1) == 4 * 4 * 1
     # enumerate nu (5 - nu) over nu = 1..4: maximum 6
@@ -355,9 +353,7 @@ def test_both_drivers_recover_a_model_at_any_scale(k):
     # coefficients (1, 2, -1.5) * 10**k: every rank, merge and drop decision
     # is relative, so the scale of the data must not change the recovery
     exponents = ((0.1 + 0.3j, 0.2j), (-0.1 + 1.1j, -0.5j), (0.05 - 0.7j, 0.9j))
-    model = ExponentialModel(2, tuple(
-        Term(c * 10.0**k, e) for c, e in zip((1.0, 2.0, -1.5), exponents)
-    ))
+    model = ExponentialModel(np.array([1.0, 2.0, -1.5]) * 10.0**k, exponents)
     basis = identity_basis(2)
     for report in (recover_known_n(SyntheticOracle(model), basis, 3),
                    recover_unknown_n(SyntheticOracle(model), basis)):
@@ -393,7 +389,7 @@ def test_sample_residuals_vectorised_matches_evaluate_loop():
 
 
 def test_sample_residuals_empty_ledger_and_all_zero_samples():
-    model = ExponentialModel(2, (Term(1.0, (0.1, -0.2)),))
+    model = ExponentialModel([1.0], [(0.1, -0.2)])
     predicted, rel_err = sample_residuals(model, [], [])
     assert predicted.shape == rel_err.shape == (0,)
     assert rel_err.max(initial=0.0) == 0.0
@@ -404,7 +400,7 @@ def test_sample_residuals_empty_ledger_and_all_zero_samples():
         predicted, rel_err = sample_residuals(model, *zeros)
     assert np.all(np.isfinite(rel_err))
     assert rel_err.tolist() == np.abs(predicted).tolist()
-    zero_model = ExponentialModel(2, (Term(0.0, (0.1, -0.2)),))
+    zero_model = ExponentialModel([0.0], [(0.1, -0.2)])
     assert sample_residuals(zero_model, *zeros)[1].tolist() == [0.0, 0.0]
 
 
@@ -433,11 +429,7 @@ def test_pairing_invariant_under_node_permutation():
         phis = assemble_exponents(
             np.column_stack([ordered, shift_logs]), basis
         )
-        return canonicalize(
-            ExponentialModel(
-                2, tuple(Term(a, tuple(p)) for a, p in zip(alphas, phis))
-            )
-        )
+        return canonicalize(ExponentialModel(alphas, phis))
 
     direct = recover_with(np.arange(4))
     permuted = recover_with(np.array([2, 0, 3, 1]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsum import (GenerationError, InputError, SyntheticOracle,
-                    recover_unknown_n, validate_nyquist)
+                    nyquist_margins, recover_unknown_n)
 from expsum.oracle import SequenceStream
 from expsum.prony import detect_sparsity
 from expsum.synth import (
@@ -29,7 +29,7 @@ def test_random_model_is_admissible_for_its_basis():
         d = 1 + seed % 4
         basis = random_basis(d, rng)
         model = random_model(d, 1 + seed % 6, rng, basis)
-        assert validate_nyquist(model, basis).valid
+        assert (nyquist_margins(model, basis) > 0).all()
 
 
 def test_random_model_honors_node_separation():
