@@ -52,6 +52,13 @@ def integer(value, what: str) -> int:
     return value
 
 
+def number(value, what: str):
+    """``value`` if it is a JSON number; a boolean is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def read(path):
     try:
         return orjson.loads(Path(path).read_bytes())

@@ -69,16 +69,23 @@ def not_parallel(direction, eps) -> bool:
     return sv[-1] > 1e-12 * sv[0]
 
 
+def level_geometry(level: int, count: int):
+    """A level's default geometry, the one every plan and driver starts
+    from: the multipliers kappa = 0 .. count-1, and unit weights on the
+    accumulated direction delta_0 + ... + delta_{level-1}."""
+    return np.arange(count, dtype=float), np.ones(level)
+
+
 def known_n_points(basis, n: int):
     """The (d+1) n points of a fixed-budget run: 2 n base points 0 + s
     delta_0, then per level i = 1 .. d-1 the n points kappa delta_0 +
-    delta_i.  Returns ``(base (2n, d), kappas (d-1, n), shifts (d-1, n, d))``.
+    delta_i, with level 1's multipliers, which every level shares.  Returns
+    ``(base (2n, d), kappas (n,), shifts (d-1, n, d))``.
     """
-    d = basis.dimension
-    kappas = np.reshape([basis.multipliers_for(i, n) for i in range(1, d)],
-                        (d - 1, n))
-    shifts = kappas[..., None] * basis.direction(0) + basis.matrix()[1:, None]
-    return line_points(np.zeros(d), basis.direction(0), 0, 2 * n), kappas, shifts
+    kappas, _ = level_geometry(1, n)
+    step = basis.direction(0)
+    shifts = kappas[:, None] * step + basis.matrix()[1:, None]
+    return line_points(np.zeros(basis.dimension), step, 0, 2 * n), kappas, shifts
 
 
 def level_points(basis, level: int, weights, kappas, steps) -> np.ndarray:
@@ -112,8 +119,8 @@ def unknown_n_plan(basis, n_hint: int, rescue_k_max: int = 0, seed: int = 0):
     while len(points) < cap:
         s += 1
         for i in range(1, d):
-            points.extend(level_points(basis, i, basis.weights_for(i),
-                                       basis.multipliers_for(i, n_hint), [s]))
+            kappas, weights = level_geometry(i, n_hint)
+            points.extend(level_points(basis, i, weights, kappas, [s]))
     points = points[:cap]
     if rescue_k_max > 0:
         eps = default_rescue_epsilon(step, seed)

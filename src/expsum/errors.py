@@ -23,7 +23,7 @@ class DimensionMismatchError(InputError):
 
 
 class InvalidBasisError(InputError):
-    """Direction vectors are dependent, non-real, or multipliers repeat."""
+    """Directions are dependent, non-real, or of the wrong shape or count."""
 
 
 class MissingSampleError(InputError):

@@ -7,7 +7,7 @@ points are real d-vectors; coefficients and exponent components are complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,11 @@ def _complex_array(values, name: str) -> np.ndarray:
     if array.dtype.kind not in "biufc":
         raise InputError(f"model {name} must be numbers, got {array.dtype}")
     return np.array(array, dtype=complex, order="C")
+
+
+def _complex(pair, what: str) -> complex:
+    """The complex number of a JSON ``[re, im]`` pair of numbers."""
+    return complex(_json.number(pair[0], what), _json.number(pair[1], what))
 
 
 class ExponentialModel:
@@ -107,9 +112,9 @@ class ExponentialModel:
         data = _json.mapping(data, "model document")
         try:
             dim = _json.integer(data["dimension"], "dimension")
-            coefficients = [complex(td["coeff"][0], td["coeff"][1])
+            coefficients = [_complex(td["coeff"], "coeff")
                             for td in data["terms"]]
-            exponents = [[complex(z[0], z[1]) for z in td["exponent"]]
+            exponents = [[_complex(z, "exponent") for z in td["exponent"]]
                          for td in data["terms"]]
         except (KeyError, TypeError, IndexError) as exc:
             raise InputError(f"malformed model document: {exc}") from exc
@@ -208,25 +213,18 @@ def canonicalize(model: ExponentialModel, tol: float = 0.0) -> ExponentialModel:
 
 @dataclass(frozen=True)
 class DirectionBasis:
-    """The d sampling directions plus per-level shift multipliers.
+    """The d sampling directions.
 
     ``directions[0]`` is the base direction along which the equidistant
     samples are taken; the remaining d-1 vectors are the shift directions
     introduced one per identification level.  All d vectors must be real
-    and linearly independent.
-
-    ``multipliers`` optionally pins the shift multipliers kappa for a
-    level (1-based); by default level i uses 0, 1, 2, ...  ``combination
-    _weights`` optionally reweights the accumulated direction used by the
-    collision-aware driver at levels >= 2; all weights must be nonzero.
-    Both are checked here: a level outside 1 .. d-1, or level-i weights
-    that are not i in number, raise :class:`InvalidBasisError`.
+    and linearly independent.  The sampling geometry on them is fixed: a
+    level's multipliers and the weights of its accumulated direction come
+    from ``_schedule.level_geometry``.
     """
 
     dimension: int
     directions: tuple[tuple[float, ...], ...]
-    multipliers: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    combination_weights: dict[int, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         d = self.dimension
@@ -257,31 +255,6 @@ class DirectionBasis:
                 "direction vectors are not linearly independent "
                 f"(sigma_min/sigma_max = {sv[-1] / sv[0] if sv[0] else 0:.2e})"
             )
-        mult = {}
-        for level, kappas in dict(self.multipliers).items():
-            level = _shift_level(level, d, "multipliers")
-            vals = tuple(float(k) for k in kappas)
-            if len(set(vals)) != len(vals):
-                raise InvalidBasisError(
-                    f"multipliers for level {level} are not pairwise distinct"
-                )
-            mult[level] = vals
-        object.__setattr__(self, "multipliers", mult)
-        weights = {}
-        for level, ws in dict(self.combination_weights).items():
-            level = _shift_level(level, d, "combination weights")
-            vals = tuple(float(w) for w in ws)
-            if len(vals) != level:
-                raise InvalidBasisError(
-                    f"level {level} needs {level} combination weights, "
-                    f"got {len(vals)}"
-                )
-            if any(w == 0 for w in vals):
-                raise InvalidBasisError(
-                    f"combination weights for level {level} must be nonzero"
-                )
-            weights[level] = vals
-        object.__setattr__(self, "combination_weights", weights)
 
     def matrix(self) -> np.ndarray:
         """Stack the directions row-wise into the d x d solve matrix."""
@@ -290,65 +263,28 @@ class DirectionBasis:
     def direction(self, i: int) -> np.ndarray:
         return np.asarray(self.directions[i], dtype=float)
 
-    def multipliers_for(self, level: int, count: int) -> np.ndarray:
-        """Multipliers kappa_{1..count} for a level, defaulting to 0..count-1."""
-        pinned = self.multipliers.get(level)
-        if pinned is None:
-            return np.arange(count, dtype=float)
-        if len(pinned) < count:
-            raise InvalidBasisError(
-                f"level {level} pins {len(pinned)} multipliers, need {count}"
-            )
-        return np.asarray(pinned[:count], dtype=float)
-
-    def weights_for(self, level: int) -> np.ndarray:
-        """Weights of the accumulated direction used at a level (length = level)."""
-        pinned = self.combination_weights.get(level)
-        if pinned is None:
-            return np.ones(level)
-        return np.asarray(pinned, dtype=float)
-
     def to_dict(self) -> dict:
         return {
             "dimension": self.dimension,
             "directions": [list(v) for v in self.directions],
-            "multipliers": {
-                str(k): list(v) for k, v in sorted(self.multipliers.items())
-            },
-            "combination_weights": {
-                str(k): list(v)
-                for k, v in sorted(self.combination_weights.items())
-            },
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DirectionBasis":
         data = _json.mapping(data, "basis document")
+        unknown = set(data) - {"dimension", "directions"}
+        if unknown:
+            raise InputError(f"unknown basis keys: {sorted(unknown)}")
         try:
-            directions = tuple(tuple(v) for v in data["directions"])
+            directions = tuple(
+                tuple(_json.number(x, "direction component") for x in v)
+                for v in data["directions"]
+            )
             dim = _json.integer(data.get("dimension", len(directions)),
                                 "dimension")
-            mult = {
-                int(k): tuple(v) for k, v in data.get("multipliers", {}).items()
-            }
-            weights = {
-                int(k): tuple(v)
-                for k, v in data.get("combination_weights", {}).items()
-            }
-            return cls(dim, directions, mult, weights)
+            return cls(dim, directions)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed basis document: {exc}") from exc
-
-
-def _shift_level(level, dimension: int, what: str) -> int:
-    """A pinned level as an int; levels 1 .. dimension-1 exist."""
-    level = int(level)
-    if not 1 <= level < dimension:
-        raise InvalidBasisError(
-            f"{what} pinned for level {level}, which a {dimension}-"
-            "dimensional basis lacks (its shift levels are 1 .. d-1)"
-        )
-    return level
 
 
 def identity_basis(dimension: int) -> DirectionBasis:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _json, linalg
 from ._schedule import (budget_bound, check_term_count,
-                        default_rescue_epsilon, known_n_points, level_points,
-                        not_parallel)
+                        default_rescue_epsilon, known_n_points, level_geometry,
+                        level_points, not_parallel)
 from .errors import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -91,9 +91,9 @@ class RecoveryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank_rel_tol <= 0:
+        if not 0 < self.rank_rel_tol < 1:
             raise InputError(
-                f"rank_rel_tol must be positive, got {self.rank_rel_tol}"
+                f"rank_rel_tol must lie in (0, 1), got {self.rank_rel_tol}"
             )
         if self.max_terms < 1:
             raise InputError("max_terms must be >= 1")
@@ -492,11 +492,12 @@ def recover_known_n(oracle: Oracle, basis: DirectionBasis,
     # inner[i, j]: term j's inner product with direction i
     inner = logs[None]
     if d > 1:
-        # every level's system is checked before any of the (d-1) n shift
-        # points is drawn; the points go out in one batch, level 1 first
-        matrices = _shift_matrices(logs, kappas)
+        # the levels share one shift system, checked before any of the
+        # (d-1) n shift points is drawn; the points go out in one batch,
+        # level 1 first
+        matrix = _shift_matrices(logs, kappas)
         shift_values = oracle.sample_many(shift_points.reshape(-1, d))
-        aggregates = np.linalg.solve(matrices, shift_values.reshape(d - 1, n, 1))
+        aggregates = np.linalg.solve(matrix, shift_values.reshape(d - 1, n, 1))
         inner = np.vstack([inner, take_logs(aggregates[..., 0] / alphas)])
     levels = [LevelState(inner.T[:, : i + 1], alphas) for i in range(d)]
     model = _model(assemble_exponents(inner.T, basis), alphas)
@@ -581,12 +582,12 @@ def _base_stage(run: _Run):
 def _level_system(run: _Run, i: int, inner):
     """Level i's shift matrix exp(kappa_l omega_j) on the accumulated inner
     products omega = inner @ weights, with the weights and multipliers that
-    gave it.  While its condition estimate exceeds LEVEL_CONDITION_LIMIT,
-    the multipliers and the weights are redrawn in turn; a matrix that
+    gave it.  It starts from the default geometry of ``level_geometry``;
+    while its condition estimate exceeds LEVEL_CONDITION_LIMIT, the
+    multipliers and the weights are redrawn in turn.  A matrix that
     overflows counts as singular."""
     count = len(inner)
-    kappas = run.basis.multipliers_for(i, count)
-    weights = run.basis.weights_for(i)
+    kappas, weights = level_geometry(i, count)
     for attempt in range(MAX_LEVEL_RETRIES + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             matrix = linalg.vandermonde(np.sum(inner * weights, axis=1), kappas)

@@ -242,12 +242,14 @@ def plan_points(basis: DirectionBasis, n_hint: int, mode: str = "known_n",
                 rescue_k_max: int = 0, seed: int = 0):
     """Deterministic list of points a recovery run will (or may) request.
 
-    ``known_n`` returns the exact (d+1) n points of the fixed-budget driver.
-    ``unknown_n_worst_case`` returns the superset the adaptive driver may
-    request under default schedules, padded to the budget bound, so samples
-    can be collected offline for a :class:`TabulatedOracle`; given the run's
+    Both modes lay their points on the fixed level geometry of the drivers:
+    multipliers kappa = 0, 1, 2, ... and unit weights on the accumulated
+    direction.  ``known_n`` returns the exact (d+1) n points of the
+    fixed-budget driver.  ``unknown_n_worst_case`` returns the superset the
+    adaptive driver may request, padded to the budget bound, so samples can
+    be collected offline for a :class:`TabulatedOracle`; given the run's
     ``rescue_k_max`` and ``seed``, it adds the cancellation rescue's lines.
-    Level retries draw random multipliers that no plan lists.
+    Level retries draw random multipliers and weights that no plan lists.
     """
     check_term_count(n_hint)
     if mode == "known_n":

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import expsum.linalg
 from expsum import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -71,16 +72,9 @@ RESCUE_DIGEST = (
 )
 
 
-def pinned_basis() -> DirectionBasis:
-    return DirectionBasis(
-        3,
-        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-        multipliers={1: (0.5, 1.5, 2.5), 2: (0.25, 1.0, 3.0)},
-    )
-
-
-@pytest.mark.parametrize("basis", [identity_basis(3), pinned_basis()],
-                         ids=["identity", "pinned"])
+@pytest.mark.parametrize("basis", [
+    identity_basis(3), random_basis(3, np.random.default_rng(56)),
+], ids=["identity", "random"])
 def test_known_n_ledger_is_plan_points_in_order(basis):
     rng = np.random.default_rng(50)
     model = random_model(3, 3, rng, basis)
@@ -229,12 +223,21 @@ def test_known_n_missing_level_two_point_records_no_shift_sample():
     assert np.array_equal(ledger_points(table), np.array(points[: 2 * n]))
 
 
-def test_known_n_overflowing_shift_matrix_raises_before_the_shift_points():
-    basis = DirectionBasis(2, ((1.0, 0.0), (0.0, 1.0)),
-                           multipliers={1: (0.0, 1e300, 2.0)})
-    oracle = SyntheticOracle(random_model(2, 3, np.random.default_rng(55),
-                                          identity_basis(2)))
+def test_shift_solve_overflow_counts_as_singular():
+    # exp(1e300 * (0.1 + 0.2j)) overflows; the system is refused, not solved
     with pytest.raises(SingularMatrixError, match="overflows"):
+        solve_shift_system([0.1 + 0.2j, 0.3j], [0.0, 1e300], [1.0, 2.0])
+
+
+def test_known_n_singular_shift_matrix_raises_before_the_shift_points(
+        monkeypatch):
+    # a tolerance that calls every matrix singular rejects the shared shift
+    # system; the ledger then holds exactly the 2n base points
+    monkeypatch.setattr(expsum.linalg, "SINGULAR_RTOL", 1.0)
+    basis = identity_basis(2)
+    oracle = SyntheticOracle(random_model(2, 3, np.random.default_rng(55),
+                                          basis))
+    with pytest.raises(SingularMatrixError, match="shift system is singular"):
         recover_known_n(oracle, basis, 3)
     base_points = np.array(plan_points(basis, 3))[: 2 * 3]
     assert np.array_equal(ledger_points(oracle), base_points)

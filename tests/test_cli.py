@@ -198,22 +198,24 @@ def test_recover_of_a_fully_cancelled_base_line_exits_3(tmp_path, capsys):
     assert "rescue_k_max" in payload["message"]
 
 
-@pytest.mark.parametrize("pinned", [
-    {"multipliers": {"5": [0, 1, 2]}},
-    {"combination_weights": {"1": [1.0, 2.0]}},
-], ids=["multipliers-missing-level", "weights-wrong-length"])
-def test_config_pinning_a_missing_level_exits_2(tmp_path, capsys, pinned):
+def test_config_rank_rel_tol_of_one_or_more_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    drawn = []
+    sample_many = SyntheticOracle.sample_many
+    monkeypatch.setattr(SyntheticOracle, "sample_many",
+                        lambda self, points: drawn.append(len(points))
+                        or sample_many(self, points))
     model_path = tmp_path / "model.json"
-    ExponentialModel([1.0], [(0.1j, 0.3j)]).save(model_path)
-    config = write_config(tmp_path / "config.json", [(1.0, 0.0), (0.0, 1.0)],
-                          "unknown_n")
-    doc = json.loads(config.read_text())
-    doc["basis"].update(pinned)
-    config.write_text(json.dumps(doc))
+    ExponentialModel([1.0], [(0.1j,)]).save(model_path)
+    config = write_config(tmp_path / "config.json", [(1.0,)], "unknown_n",
+                          recovery={"rank_rel_tol": 1.5})
     code, _, err = run(["recover", "--config", config, "--model", model_path,
                         "--out", tmp_path / "run"], capsys)
     assert code == EXIT_INPUT
-    assert json.loads(err)["error_class"] == "InvalidBasisError"
+    payload = json.loads(err)
+    assert payload["error_class"] == "InputError"
+    assert payload["message"] == "rank_rel_tol must lie in (0, 1), got 1.5"
+    assert drawn == []
     assert not (tmp_path / "run").exists()
 
 
@@ -330,7 +332,19 @@ REMOVED_RECOVERY_KEYS = (
     ("config", '{"recovery": []}', None),
     ("config", '{"recovery": {"max_terms": "x"}}', None),
     ("config", '{"basis": {"directions": [[1.0]], "multipliers": {"a": [1]}}}',
-     None),
+     "unknown basis keys: ['multipliers']"),
+    ("config", '{"basis": {"directions": [[1.0]], "combination_weights": {}}}',
+     "unknown basis keys: ['combination_weights']"),
+    ("config", '{"basis": {"directions": [[true]]}}',
+     "direction component must be a number, got True"),
+    ("config", '{"basis": {"directions": [["1"]]}}',
+     "direction component must be a number, got '1'"),
+    ("model", '{"dimension": 1, "terms": '
+              '[{"coeff": [true, 0], "exponent": [[0, 1]]}]}',
+     "coeff must be a number, got True"),
+    ("model", '{"dimension": 1, "terms": '
+              '[{"coeff": [1, 0], "exponent": [[0, false]]}]}',
+     "exponent must be a number, got False"),
     ("config", '{"io": {"out": [1, 2]}}', None),
     ("config", '{"recovery": {"node_method": "generalized_eig"}}', None),
 ] + [
@@ -339,7 +353,10 @@ REMOVED_RECOVERY_KEYS = (
     for key in REMOVED_RECOVERY_KEYS
 ], ids=["model-dimension", "model-float-dimension", "verify-dimension",
         "config-list", "recovery-list", "recovery-field",
-        "basis-multiplier-level", "io-path-list", "recovery-removed-field"]
+        "basis-multiplier-level", "basis-weights-pin",
+        "basis-boolean-direction", "basis-string-direction",
+        "model-boolean-coeff", "model-boolean-exponent", "io-path-list",
+        "recovery-removed-field"]
     + [f"recovery-{key}" for key in REMOVED_RECOVERY_KEYS])
 def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
                                                        command, text, message):
@@ -762,12 +779,15 @@ def test_parsed_input_that_defeats_numpy_exits_2_with_one_json_object(
     assert json.loads(proc.stderr)["error_class"] == error_class
 
 
-@pytest.mark.parametrize("mode, pinned", [
-    ("known_n", {"multipliers": {"1": [0, 1e300, 2]}}),
-    ("unknown_n", {"combination_weights": {"1": [1e300]}}),
-], ids=["known-n-multipliers", "unknown-n-weights"])
-def test_overflowing_shift_matrix_exits_3_with_one_json_object(
-        tmp_path, mode, pinned):
+@pytest.mark.parametrize("mode, module, constant, value", [
+    ("known_n", expsum.linalg, "SINGULAR_RTOL", 1.0),
+    ("unknown_n", expsum.multivar, "LEVEL_CONDITION_LIMIT", 0.0),
+], ids=["known-n", "unknown-n"])
+def test_singular_shift_matrix_exits_3_with_one_json_object(
+        tmp_path, capsys, monkeypatch, mode, module, constant, value):
+    # a tolerance that no shift matrix meets: the known-n check and the
+    # unknown-n level retries both end in SingularMatrixError
+    monkeypatch.setattr(module, constant, value)
     model_path = tmp_path / "model.json"
     ExponentialModel(
         [1.0, 2.0, -1.5],
@@ -775,13 +795,11 @@ def test_overflowing_shift_matrix_exits_3_with_one_json_object(
     ).save(model_path)
     config = write_config(tmp_path / "config.json", [(1.0, 0.0), (0.0, 1.0)],
                           mode, n=3)
-    doc = json.loads(config.read_text())
-    doc["basis"].update(pinned)
-    config.write_text(json.dumps(doc))
-    proc = run_module(["recover", "--config", config, "--model", model_path,
-                       "--out", tmp_path / "run"])
-    assert proc.returncode == EXIT_NUMERICAL
-    assert json.loads(proc.stderr)["error_class"] == "SingularMatrixError"
+    code, _, err = run(["recover", "--config", config, "--model", model_path,
+                        "--out", tmp_path / "run"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert json.loads(err)["error_class"] == "SingularMatrixError"
+    assert not (tmp_path / "run").exists()
 
 
 def test_public_names_are_the_user_facing_api():

@@ -13,6 +13,7 @@ from expsum import (
     CollisionDetectedError,
     DirectionBasis,
     ExponentialModel,
+    InputError,
     RecoveryConfig,
     SyntheticOracle,
     budget_bound,
@@ -445,11 +446,8 @@ def _lexicographic(rows) -> bool:
 def test_level_states_are_read_only_pile_arrays(mode):
     rng = np.random.default_rng(41)
     if mode == "unknown_n":
-        # pinned non-unit weights: level 3's accumulated direction sums
-        # three weighted inner products per pile
-        drawn = random_basis(4, rng)
-        basis = DirectionBasis(4, drawn.directions, {},
-                               {2: (0.7, 1.3), 3: (0.6, 1.2, 0.9)})
+        # level 3's accumulated direction sums three inner products per pile
+        basis = random_basis(4, rng)
         model = collision_instance(4, rng, basis, pile_sizes=(2, 1),
                                    deep_collision=True)
         report = recover_unknown_n(SyntheticOracle(model), basis,
@@ -491,3 +489,14 @@ def test_level_states_are_read_only_pile_arrays(mode):
         ]
         assert all(type(x) is float for pile in entry["piles"]
                    for pair in pile["inner_products"] for x in pair)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 1.5, float("nan")])
+def test_rank_rel_tol_outside_the_unit_interval_fails_before_sampling(tol):
+    oracle = SyntheticOracle(reference_model())
+    with pytest.raises(InputError, match=r"rank_rel_tol must lie in \(0, 1\)"):
+        recover_unknown_n(oracle, scenario_two_basis(),
+                          RecoveryConfig(rank_rel_tol=tol))
+    with pytest.raises(InputError, match=r"rank_rel_tol must lie in \(0, 1\)"):
+        RecoveryConfig.from_dict({"rank_rel_tol": tol})
+    assert oracle.ledger.count == 0
