@@ -21,7 +21,6 @@ from .errors import (
     MissingSampleError,
     PencilDegenerateError,
     RankDeficiencyError,
-    RankMismatchError,
     SingularMatrixError,
     SparsityUndetectedError,
 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import InputError
 
 # Engineering constant multiplying the worst-case data-complexity term.
@@ -65,7 +66,7 @@ def default_rescue_epsilon(direction, seed: int = 0) -> np.ndarray:
 
 def not_parallel(direction, eps) -> bool:
     stacked = np.vstack([direction, eps])
-    sv = np.linalg.svd(stacked, compute_uv=False)
+    sv = linalg.singular_values(stacked)
     return sv[-1] > 1e-12 * sv[0]
 
 

@@ -61,10 +61,6 @@ class PencilDegenerateError(ExpsumError):
     """
 
 
-class RankMismatchError(ExpsumError):
-    """A node fit was attempted at an inconsistent term count."""
-
-
 class SparsityUndetectedError(ExpsumError):
     """Rank detection exhausted ``max_terms`` without a rank deficiency."""
 

@@ -178,23 +178,21 @@ def rank_from_singular_values(
     """
     if not 0 < rel_tol < 1:
         raise InputError("rel_tol must lie in (0, 1)")
-    sv = np.asarray(sv, dtype=float)
-    smax = float(sv[0]) if sv.size else 0.0
+    # plain floats: numpy's per-call overhead dominates on short vectors
+    sv = tuple(np.asarray(sv, dtype=float).tolist())
+    smax = sv[0] if sv else 0.0
     reference = smax if scale is None else max(float(scale), smax)
     if reference == 0.0:
-        return RankDecision(0, tuple(float(s) for s in sv), 0.0, True)
+        return RankDecision(0, sv, 0.0, True)
     threshold = rel_tol * reference
-    rank = int(np.sum(sv > threshold))
-    full = rank == sv.size
-    if full:
+    rank = sum(s > threshold for s in sv)
+    if rank == len(sv):
         confident = True
     elif rank == 0:
         confident = smax <= threshold / GAP_FACTOR
     else:
-        confident = bool(sv[rank - 1] >= GAP_FACTOR * sv[rank])
-    return RankDecision(
-        rank, tuple(float(s) for s in sv), float(threshold), confident
-    )
+        confident = sv[rank - 1] >= GAP_FACTOR * sv[rank]
+    return RankDecision(rank, sv, threshold, confident)
 
 
 def numerical_rank(a, rel_tol: float = DEFAULT_RANK_RTOL) -> RankDecision:
@@ -283,7 +281,7 @@ def generalized_eigenvalues(a, b, b_singular_values=None) -> np.ndarray:
         )
     sv = b_singular_values
     if sv is None:
-        sv = np.linalg.svd(bm, compute_uv=False)
+        sv = singular_values(bm)
     if sv[0] == 0 or sv[-1] <= PENCIL_SINGULAR_RTOL * sv[0]:
         raise PencilDegenerateError(
             "pencil right-hand matrix is singular to tolerance "

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _json
+from . import _json, linalg
 from .errors import (
     DegenerateModelError,
     DimensionMismatchError,
@@ -37,6 +37,8 @@ def _complex_array(values, name: str) -> np.ndarray:
 
 def _complex(pair, what: str) -> complex:
     """The complex number of a JSON ``[re, im]`` pair of numbers."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise InputError(f"{what} must be an [re, im] pair, got {pair!r}")
     return complex(_json.number(pair[0], what), _json.number(pair[1], what))
 
 
@@ -217,10 +219,10 @@ class DirectionBasis:
 
     ``directions[0]`` is the base direction along which the equidistant
     samples are taken; the remaining d-1 vectors are the shift directions
-    introduced one per identification level.  All d vectors must be real
-    and linearly independent.  The sampling geometry on them is fixed: a
-    level's multipliers and the weights of its accumulated direction come
-    from ``_schedule.level_geometry``.
+    introduced one per identification level.  All d vectors must be real,
+    finite and linearly independent.  The sampling geometry on them is
+    fixed: a level's multipliers and the weights of its accumulated
+    direction come from ``_schedule.level_geometry``.
     """
 
     dimension: int
@@ -249,7 +251,10 @@ class DirectionBasis:
                 f"need exactly {d} directions, got {len(dirs)}"
             )
         object.__setattr__(self, "directions", tuple(dirs))
-        sv = np.linalg.svd(self.matrix(), compute_uv=False)
+        matrix = self.matrix()
+        if not np.isfinite(matrix).all():
+            raise InvalidBasisError("direction components must be finite")
+        sv = linalg.singular_values(matrix)
         if sv[0] == 0 or sv[-1] < INDEPENDENCE_RTOL * sv[0]:
             raise InvalidBasisError(
                 "direction vectors are not linearly independent "

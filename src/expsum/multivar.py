@@ -32,7 +32,6 @@ from .errors import (
     InputError,
     PencilDegenerateError,
     RankDeficiencyError,
-    RankMismatchError,
     SingularMatrixError,
     SparsityUndetectedError,
 )
@@ -50,6 +49,7 @@ from .prony import (
     detect_sparsity,
     fit_coefficients,
     fit_nodes,
+    grow_ranks,
     take_logs,
 )
 
@@ -272,13 +272,14 @@ def disentangle_pile(pile_sequence, r: int):
     """Split a pile sequence into r sub-nodes and coefficient aggregates.
 
     The sequence holds equidistant samples of the pile's aggregated
-    coefficient function along the current shift direction.  Its Hankel
-    pencil yields the r distinguishable sub-nodes; the matching aggregates
-    solve the pile's own r x r Vandermonde system, so they sum to the
-    pile's leading sequence value.
+    coefficient function along the current shift direction.  For r = 1 the
+    sub-node is the ratio of the first two usable samples; otherwise
+    :func:`fit_nodes` yields the r distinguishable sub-nodes.  The matching
+    aggregates solve the pile's own r x r Vandermonde system, so they sum
+    to the pile's leading sequence value.
 
     Raises :class:`PencilDegenerateError` when the pencil is singular,
-    which means r was overestimated.
+    which means r was overestimated, or the sequence has no usable ratio.
     """
     seq = np.asarray(pile_sequence, dtype=complex)
     if r < 1:
@@ -299,9 +300,7 @@ def disentangle_pile(pile_sequence, r: int):
                     np.array([seq[0]]),
                 )
         raise PencilDegenerateError("pile sequence has no usable ratio")
-    h0 = linalg.hankel(seq, r, r)
-    h1 = linalg.hankel(seq[1:], r, r)
-    sub_nodes = linalg.generalized_eigenvalues(h1, h0)
+    sub_nodes = fit_nodes(seq, r)
     sub_logs = take_logs(sub_nodes)
     sub_coeffs = linalg.solve(
         linalg.vandermonde(sub_logs, np.arange(r, dtype=float)), seq[:r]
@@ -330,6 +329,8 @@ def cancellation_rescue(
     eps = np.asarray(epsilon, dtype=float)
     if k_max < 0:
         raise InputError("k_max must be >= 0")
+    if not (np.isfinite(direction).all() and np.isfinite(eps).all()):
+        raise InputError("direction and epsilon components must be finite")
     if k_max >= 1 and not not_parallel(direction, eps):
         raise InputError("epsilon must not be parallel to the direction")
 
@@ -405,13 +406,6 @@ class _Run:
             )
         return self.oracle.sample_many(points)
 
-    def settle(self, ranks, j: int, rank: int, decision, warning=None):
-        """Fix pile j's rank, keeping the decision behind it and a warning."""
-        ranks[j] = rank
-        self.decisions.append(decision)
-        if warning:
-            self.warnings.append(warning)
-
 
 def _model(exponents, coefficients) -> ExponentialModel:
     """Canonical model of the terms pairing each coefficient with its row of
@@ -465,7 +459,7 @@ def recover_known_n(oracle: Oracle, basis: DirectionBasis,
 
     try:
         nodes = fit_nodes(values, n, decision.singular_values)
-    except RankMismatchError as exc:
+    except PencilDegenerateError as exc:
         raise CollisionDetectedError(
             f"node fit failed at rank {n} ({exc}); use recover_unknown_n",
             nu=decision.rank,
@@ -610,10 +604,12 @@ def _level_system(run: _Run, i: int, inner):
 
 
 def _pile_sequences(run: _Run, i: int, matrix, weights, kappas, sums):
-    """Grow the pile sequences along direction i, two shift steps at a time,
-    until a confident deficiency of each pile's Hankel matrix settles its
-    rank; returns the sequences, one row per pile, and the ranks.  At the
-    size cap, max_terms - piles + 1, the best deficiency seen is accepted."""
+    """Grow the pile sequences along direction i with :func:`grow_ranks`,
+    each step one charge, one draw and one solve for shift steps 2m - 1 and
+    2m, up to the size cap max_terms - piles + 1; returns the sequences,
+    one row per pile, and the ranks.  A pile that settles at rank 0, below
+    the level's noise floor, is taken as a single term; a non-confident
+    rank is accepted.  Both leave a warning."""
     count, config = len(sums), run.config
     max_pile = config.max_terms - count + 1
     if max_pile < 1:
@@ -621,60 +617,30 @@ def _pile_sequences(run: _Run, i: int, matrix, weights, kappas, sums):
             f"level {i} starts with {count} piles, more than max_terms = "
             f"{config.max_terms}"
         )
-    sequences = sums[:, None]
-    ranks = [0] * count  # a settled pile has a positive rank
-    # each pile's latest non-confident deficiency, accepted at the size cap
-    fallbacks: list[RankDecision | None] = [None] * count
-    m_size = 0
-    while not all(ranks):
-        m_size += 1
-        at_cap = m_size == max_pile
-        # shift steps 2m-1 and 2m: one charge, one draw, one solve
-        steps = [2 * m_size - 1, 2 * m_size]
+
+    def draw(m):
         values = run.sample_many(level_points(run.basis, i, weights, kappas,
-                                              steps))
-        solved = np.linalg.solve(matrix, values.reshape(2, count).T)
-        sequences = np.hstack([sequences, solved])
-        # pile matrices share one noise floor (they come from the same
-        # solves), so rank thresholds use the level's largest scale
-        idx = np.arange(m_size + 1)
-        pile_svs = linalg.singular_values(sequences[:, idx[:, None] + idx])
-        level_scale = float(pile_svs[:, 0].max())
-        for j in range(count):
-            if ranks[j]:
-                continue
-            decision = linalg.rank_from_singular_values(
-                pile_svs[j], config.rank_rel_tol, scale=level_scale
-            )
-            if decision.rank == 0:
-                # an all-zero window can hide terms; keep growing, and at
-                # the size cap fall back to a single merged term
-                if at_cap:
-                    run.settle(ranks, j, 1, decision,
-                               f"pile {j} at level {i} stayed below the "
-                               "noise floor; treating it as a single term")
-            elif decision.rank <= m_size:
-                if decision.confident:
-                    run.settle(ranks, j, decision.rank, decision)
-                elif at_cap:
-                    run.settle(ranks, j, decision.rank, decision,
-                               f"pile {j} at level {i}: accepting "
-                               f"non-confident rank {decision.rank}")
-                else:
-                    fallbacks[j] = decision
-        if at_cap:
-            # out of room: settle for the best deficiency seen, if any
-            for j in range(count):
-                if ranks[j]:
-                    continue
-                if fallbacks[j] is None:
-                    raise SparsityUndetectedError(
-                        f"a pile at level {i} exceeds the remaining term "
-                        f"budget ({max_pile}); raise max_terms"
-                    )
-                run.settle(ranks, j, fallbacks[j].rank, fallbacks[j],
-                           f"pile {j} at level {i}: accepting non-confident "
-                           f"rank {fallbacks[j].rank} at the size cap")
+                                              [2 * m - 1, 2 * m]))
+        return np.linalg.solve(matrix, values.reshape(2, count).T)
+
+    try:
+        sequences, settled = grow_ranks(sums, draw, max_pile,
+                                        config.rank_rel_tol)
+    except SparsityUndetectedError as exc:
+        raise SparsityUndetectedError(
+            f"a pile at level {i} exceeds the remaining term budget "
+            f"({max_pile}); raise max_terms"
+        ) from exc
+    ranks = [0] * count
+    for j, decision in settled:
+        ranks[j] = max(decision.rank, 1)
+        run.decisions.append(decision)
+        if decision.rank == 0:
+            run.warnings.append(f"pile {j} at level {i} stayed below the "
+                                "noise floor; treating it as a single term")
+        elif not decision.confident:
+            run.warnings.append(f"pile {j} at level {i}: accepting "
+                                f"non-confident rank {decision.rank}")
     return sequences, ranks
 
 

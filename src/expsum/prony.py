@@ -12,14 +12,62 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import (
-    InputError,
-    InvalidNodeError,
-    PencilDegenerateError,
-    RankMismatchError,
-    SparsityUndetectedError,
-)
+from .errors import InputError, InvalidNodeError, SparsityUndetectedError
 from .linalg import RankDecision
+
+
+def grow_ranks(
+    first,
+    draw: Callable[[int], object],
+    max_size: int,
+    rel_tol: float = linalg.DEFAULT_RANK_RTOL,
+) -> tuple[np.ndarray, list[tuple[int, RankDecision]]]:
+    """Grow one square Hankel matrix per row until every row's rank settles.
+
+    Row j's sequence starts at ``first[j]``; ``draw(m)`` returns the (rows,
+    2) values at steps 2m - 1 and 2m, so step m decides on the (m+1) x
+    (m+1) matrices of 2m + 1 values.  The rows share one noise floor,
+    ``rel_tol`` times the largest sigma_max over all rows.  A row settles
+    when its rank r <= m is confident, a confident rank 0 included, or when
+    m reaches ``max_size``.  Until then it remembers its latest
+    non-confident deficiency with 1 <= r <= m; a row still at full rank at
+    the cap takes that decision, and one with none raises
+    :class:`SparsityUndetectedError`.
+
+    Returns the (rows, 2m + 1) sequences and the ``(row, decision)`` pairs
+    in the order the rows settled.
+    """
+    sequences = np.empty((len(first), 2 * max_size + 1), dtype=complex)
+    sequences[:, 0] = first
+    idx = np.arange(max_size + 1)
+    window = idx[:, None] + idx
+    waiting = range(len(first))
+    fallbacks: dict[int, RankDecision] = {}
+    settled: list[tuple[int, RankDecision]] = []
+    for m in range(1, max_size + 1):
+        sequences[:, 2 * m - 1 : 2 * m + 1] = draw(m)
+        svs = linalg.singular_values(sequences[:, window[: m + 1, : m + 1]])
+        scale = max(svs[:, 0].tolist())
+        still = []
+        for j in waiting:
+            decision = linalg.rank_from_singular_values(svs[j], rel_tol, scale)
+            if decision.rank <= m and (decision.confident or m == max_size):
+                settled.append((j, decision))
+                continue
+            if 1 <= decision.rank <= m:
+                fallbacks[j] = decision
+            still.append(j)
+        waiting = still
+        if not waiting:
+            return sequences[:, : 2 * m + 1], settled
+    for j in waiting:
+        if j not in fallbacks:
+            raise SparsityUndetectedError(
+                f"no rank deficiency up to {max_size} terms; raise max_terms "
+                "or reject the instance"
+            )
+        settled.append((j, fallbacks[j]))
+    return sequences, settled
 
 
 def detect_sparsity(
@@ -29,10 +77,11 @@ def detect_sparsity(
 ) -> RankDecision:
     """Detect the number of distinguishable terms in a sampled sequence.
 
-    Grows the square Hankel matrix one size at a time (two new samples per
-    step, 2 nu + 1 in total to certify nu) until the (nu+1) x (nu+1) matrix
-    shows a confident rank deficiency.  ``value_at(s)`` must return F_s and
-    is expected to memoize, so already-drawn samples are never re-requested.
+    The one-row case of :func:`grow_ranks`: two new samples per step, 2 nu
+    + 1 in total to certify nu, up to ``max_terms``.  ``value_at(s)`` must
+    return F_s and is expected to memoize; each step asks for the later
+    index first, so a memoizing supplier draws both in one batch.  Rank 0
+    means the sequence shows no term.
 
     Raises :class:`SparsityUndetectedError` when no deficiency appears up
     to ``max_terms``; returns a non-confident decision if a deficiency was
@@ -40,26 +89,12 @@ def detect_sparsity(
     """
     if max_terms < 1:
         raise InputError("max_terms must be >= 1")
-    values: list[complex] = [value_at(0)]
-    fallback = None
-    for m in range(1, max_terms + 1):
-        # the later index first, so a memoizing supplier draws both in one batch
+
+    def draw(m):
         last = value_at(2 * m)
-        values += [value_at(2 * m - 1), last]
-        decision = linalg.numerical_rank(
-            linalg.hankel(values, m + 1, m + 1), rel_tol
-        )
-        if decision.rank <= m:
-            if decision.confident:
-                return decision
-            if fallback is None or decision.rank > fallback.rank:
-                fallback = decision
-    if fallback is not None:
-        return fallback
-    raise SparsityUndetectedError(
-        f"no rank deficiency up to {max_terms} terms; raise max_terms or "
-        "reject the instance"
-    )
+        return [[value_at(2 * m - 1), last]]
+
+    return grow_ranks([value_at(0)], draw, max_terms, rel_tol)[1][0][1]
 
 
 def fit_nodes(values, nu: int, singular_values=None) -> np.ndarray:
@@ -69,7 +104,8 @@ def fit_nodes(values, nu: int, singular_values=None) -> np.ndarray:
     The nodes are the generalized eigenvalues of the shifted-vs-unshifted
     nu x nu Hankel pencil (H_1, H_0) (Hua & Sarkar, IEEE TASSP 1990).  The
     pencil reuses known ``singular_values`` of H_0 instead of its own SVD.
-    Raises :class:`RankMismatchError` when H_0 is singular to tolerance.
+    Raises :class:`PencilDegenerateError` when H_0 is singular to
+    tolerance, which means nu was overestimated.
     """
     if nu < 1:
         raise InputError("nu must be >= 1")
@@ -81,14 +117,9 @@ def fit_nodes(values, nu: int, singular_values=None) -> np.ndarray:
         )
     h0 = linalg.hankel(values, nu, nu)
     h1 = linalg.hankel(values[1:], nu, nu)
-    try:
-        return linalg.generalized_eigenvalues(
-            h1, h0, b_singular_values=singular_values
-        )
-    except PencilDegenerateError as exc:
-        raise RankMismatchError(
-            f"Hankel pencil degenerate at nu={nu}; re-detect the rank"
-        ) from exc
+    return linalg.generalized_eigenvalues(
+        h1, h0, b_singular_values=singular_values
+    )
 
 
 def _samples(values) -> np.ndarray:

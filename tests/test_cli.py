@@ -345,6 +345,12 @@ REMOVED_RECOVERY_KEYS = (
     ("model", '{"dimension": 1, "terms": '
               '[{"coeff": [1, 0], "exponent": [[0, false]]}]}',
      "exponent must be a number, got False"),
+    ("model", '{"dimension": 1, "terms": '
+              '[{"coeff": [1, 0, 5], "exponent": [[0, 1]]}]}',
+     "coeff must be an [re, im] pair, got [1, 0, 5]"),
+    ("verify", '{"dimension": 1, "terms": '
+               '[{"coeff": [1, 0], "exponent": [[0, 1, 7]]}]}',
+     "exponent must be an [re, im] pair, got [0, 1, 7]"),
     ("config", '{"io": {"out": [1, 2]}}', None),
     ("config", '{"recovery": {"node_method": "generalized_eig"}}', None),
 ] + [
@@ -355,7 +361,8 @@ REMOVED_RECOVERY_KEYS = (
         "config-list", "recovery-list", "recovery-field",
         "basis-multiplier-level", "basis-weights-pin",
         "basis-boolean-direction", "basis-string-direction",
-        "model-boolean-coeff", "model-boolean-exponent", "io-path-list",
+        "model-boolean-coeff", "model-boolean-exponent",
+        "model-long-coeff-pair", "verify-long-exponent-pair", "io-path-list",
         "recovery-removed-field"]
     + [f"recovery-{key}" for key in REMOVED_RECOVERY_KEYS])
 def test_wrong_shape_json_input_exits_with_input_error(tmp_path, capsys,
@@ -819,7 +826,7 @@ def test_public_names_are_the_user_facing_api():
         "ExpsumError", "InputError", "DimensionMismatchError",
         "InvalidBasisError", "MissingSampleError", "GenerationError",
         "SingularMatrixError", "RankDeficiencyError", "PencilDegenerateError",
-        "RankMismatchError", "InvalidNodeError", "SparsityUndetectedError",
+        "InvalidNodeError", "SparsityUndetectedError",
         "CollisionDetectedError", "CancellationSuspectedError",
         "DegenerateModelError", "BudgetExceededError",
     }

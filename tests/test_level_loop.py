@@ -12,12 +12,14 @@ in the library and at the command line, rather than being retried.
 """
 
 import json
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from expsum import (
+    ExpsumError,
     NoisyOracle,
     PencilDegenerateError,
     RecoveryConfig,
@@ -35,16 +37,21 @@ from expsum.synth import (
     random_model,
 )
 
+from helpers import model_error
+
 CELLS = [(2, 2), (2, 4), (3, 3), (4, 4)]
+CORPUS_SIZE = 120
 
 
 @lru_cache(maxsize=None)
-def corpus_model(idx):
+def corpus_models():
     rng = np.random.default_rng(7)
-    for k in range(idx + 1):
-        d, n = CELLS[k % len(CELLS)]
-        model = random_model(d, n, rng, identity_basis(d))
-    return model
+    return [random_model(d, n, rng, identity_basis(d))
+            for d, n in (CELLS[k % len(CELLS)] for k in range(CORPUS_SIZE))]
+
+
+def corpus_model(idx):
+    return corpus_models()[idx]
 
 
 def noisy_run(idx, sigma=1e-8, **config):
@@ -73,13 +80,38 @@ def test_noisy_fallback_warning(idx, config, warning, samples, decisions,
     assert len(report.rank_confidences) == decisions
 
 
+def test_noisy_corpus_outcome_counts():
+    # the yardstick of the noise handling: at sigma = 1e-8 and the default
+    # config, how the corpus's cases end, by term count and error class
+    outcomes = Counter()
+    for idx in range(CORPUS_SIZE):
+        planted = corpus_model(idx).n_terms
+        try:
+            report = noisy_run(idx)
+        except ExpsumError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        found = report.model.n_terms
+        if found == planted:
+            outcomes["right count"] += 1
+            outcomes["right, within 1e-4"] += int(
+                model_error(report.model, corpus_model(idx)) <= 1e-4
+            )
+        else:
+            outcomes["too many" if found > planted else "too few"] += 1
+    assert dict(outcomes) == {
+        "right count": 28, "right, within 1e-4": 28, "too many": 51,
+        "SparsityUndetectedError": 34, "SingularMatrixError": 7,
+    }
+
+
 def test_size_cap_accepts_the_best_deficiency_after_the_last_window():
     report = noisy_run(46)
     # the size-cap fallback settles after the window's own decisions
     assert report.warnings[-2:] == (
         "pile 8 at level 2 stayed below the noise floor; treating it as a "
         "single term",
-        "pile 0 at level 2: accepting non-confident rank 7 at the size cap",
+        "pile 0 at level 2: accepting non-confident rank 7",
     )
     assert len(report.warnings) == 11
     assert report.samples_used == 235

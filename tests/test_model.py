@@ -281,6 +281,14 @@ def test_direction_basis_rejects_dependent_directions():
         DirectionBasis(2, ((1.0, 1.0), (2.0, 2.0)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_direction_basis_rejects_non_finite_components(value):
+    # JSON cannot carry these values, so only the library can pass them;
+    # they are refused before the independence check's SVD sees them
+    with pytest.raises(InvalidBasisError, match="must be finite"):
+        DirectionBasis(2, ((value, 0.0), (0.0, 1.0)))
+
+
 @pytest.mark.parametrize("key", ["multipliers", "combination_weights",
                                  "multiplier"])
 def test_direction_basis_rejects_unknown_keys(key):

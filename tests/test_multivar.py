@@ -295,6 +295,15 @@ def test_cancellation_rescue_reveals_hidden_pile():
     assert rescued.rank == 3
 
 
+@pytest.mark.parametrize("epsilon", [[np.nan, 0.0], [np.inf, 0.0]])
+def test_cancellation_rescue_rejects_non_finite_epsilon(epsilon):
+    oracle = SyntheticOracle(ExponentialModel([1.0], [(0.1j, 0.2j)]))
+    with pytest.raises(InputError, match="must be finite"):
+        cancellation_rescue(oracle, [1.0, 0.0], epsilon, k_max=1,
+                            max_terms=2)
+    assert oracle.ledger.count == 0
+
+
 def test_cancellation_rescue_degenerate_k_zero_matches_original():
     rng = np.random.default_rng(30)
     basis = identity_basis(2)
@@ -328,11 +337,15 @@ def test_unknown_n_fully_cancelled_base_line_needs_the_rescue():
     # so every base sample is zero and the base rank is 0
     model = ExponentialModel([1.0, -1.0], [(0.1j, 0.2j), (0.1j, 0.5j)])
     basis = identity_basis(2)
+    oracle = SyntheticOracle(model)
     with pytest.raises(CancellationSuspectedError, match="rescue_k_max = 0"):
-        recover_unknown_n(SyntheticOracle(model), basis)
+        recover_unknown_n(oracle, basis)
+    # a confident rank 0 settles on the first window: F_0, F_1, F_2
+    assert oracle.ledger.count == 3
     report = recover_unknown_n(SyntheticOracle(model), basis,
                                RecoveryConfig(rescue_k_max=2))
     assert report.detected_n == 2
+    assert report.samples_used == 13
     assert model_error(report.model, model) < 1e-6
 
 

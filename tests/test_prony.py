@@ -6,8 +6,8 @@ import pytest
 from expsum import (
     InputError,
     InvalidNodeError,
+    PencilDegenerateError,
     RankDeficiencyError,
-    RankMismatchError,
     SingularMatrixError,
     SparsityUndetectedError,
     SyntheticOracle,
@@ -16,6 +16,7 @@ from expsum.prony import (
     detect_sparsity,
     fit_coefficients,
     fit_nodes,
+    grow_ranks,
     take_logs,
 )
 from expsum.oracle import SequenceStream
@@ -78,6 +79,66 @@ def test_detect_sparsity_exhaustion_raises():
         detect_sparsity(_CountingSupplier(seq), max_terms=3)
 
 
+class _ScriptedRows:
+    """A ``draw`` for :func:`grow_ranks` that hands out the columns of fixed
+    rows two at a time and records the steps asked for."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=complex)
+        self.steps = []
+
+    def __call__(self, m):
+        self.steps.append(m)
+        return self.rows[:, 2 * m - 1 : 2 * m + 1]
+
+
+def test_grow_ranks_settles_rank_one_and_zero_rows_on_the_first_window():
+    rows = [_planted_sequence([0.1j], [2.0], 9), np.zeros(9)]
+    draw = _ScriptedRows(rows)
+    sequences, settled = grow_ranks(draw.rows[:, 0], draw, max_size=4)
+    assert draw.steps == [1]
+    assert np.array_equal(sequences, draw.rows[:, :3])
+    assert [(j, d.rank, d.confident) for j, d in settled] == [
+        (0, 1, True), (1, 0, True)
+    ]
+
+
+def test_grow_ranks_returns_rows_in_the_order_they_settle():
+    rows = [_planted_sequence([0.1j, -0.4j], [1.0, 0.5], 9),
+            _planted_sequence([0.3j], [1.0], 9)]
+    draw = _ScriptedRows(rows)
+    sequences, settled = grow_ranks(draw.rows[:, 0], draw, max_size=4)
+    assert draw.steps == [1, 2]
+    assert sequences.shape == (2, 5)
+    assert [(j, d.rank, d.confident) for j, d in settled] == [
+        (1, 1, True), (0, 2, True)
+    ]
+
+
+def test_grow_ranks_full_rank_at_the_cap_without_a_deficiency_raises():
+    draw = _ScriptedRows([_planted_sequence([0.1j, -0.4j], [1.0, 0.5], 9)])
+    with pytest.raises(SparsityUndetectedError, match="up to 1 terms"):
+        grow_ranks(draw.rows[:, 0], draw, max_size=1)
+    assert draw.steps == [1]
+
+
+def test_grow_ranks_full_rank_at_the_cap_takes_the_latest_deficiency():
+    # row 0 sets the shared floor, 0.1 * 10 = 1.  Row 1's Hankel matrices
+    # have singular values (5, 0.5), then (5.12, 2.88, 0.5): ranks 1
+    # and 2, neither gap 1e3 wide; at the cap, (5.12, 3.5, 2.88, 2.5) is
+    # full rank, so row 1 keeps its m = 2 decision
+    draw = _ScriptedRows([[10, 0, 0, 0, 0, 0, 0],
+                          [5, 0, 0.5, 0, 3, 0, 0.5]])
+    sequences, settled = grow_ranks(draw.rows[:, 0], draw, max_size=3,
+                                    rel_tol=0.1)
+    assert draw.steps == [1, 2, 3]
+    assert sequences.shape == (2, 7)
+    (first, floor), (row, kept) = settled
+    assert (first, floor.rank, floor.confident) == (0, 1, True)
+    assert (row, kept.rank, kept.confident) == (1, 2, False)
+    assert len(kept.singular_values) == 3
+
+
 def test_fit_nodes_single_term():
     nodes = fit_nodes([2.0, 2.0 * np.e, 2.0 * np.e**2], 1)
     assert np.allclose(nodes, [np.e])
@@ -116,7 +177,7 @@ def test_fit_nodes_methods_agree_and_match_planted():
 
 def test_fit_nodes_wrong_nu_raises_rank_mismatch():
     seq = _planted_sequence([0.1], [2.0], 8)
-    with pytest.raises(RankMismatchError):
+    with pytest.raises(PencilDegenerateError):
         fit_nodes(seq, 3)
     with pytest.raises(SingularMatrixError):
         companion_nodes(seq, 3)
