@@ -44,7 +44,6 @@ from .oracle import (
     NoisyOracle,
     Oracle,
     SampleLedger,
-    SequenceStream,
     SyntheticOracle,
     TabulatedOracle,
     plan_points,

@@ -23,7 +23,7 @@ import numpy as np
 from . import _json, linalg
 from ._schedule import (budget_bound, check_term_count,
                         default_rescue_epsilon, known_n_points, level_geometry,
-                        level_points, not_parallel)
+                        level_points, line_points, not_parallel)
 from .errors import (
     BudgetExceededError,
     CancellationSuspectedError,
@@ -44,7 +44,7 @@ from .model import (
     evaluate,
     exp_matrix,
 )
-from .oracle import Oracle, SequenceStream
+from .oracle import Oracle
 from .prony import (
     detect_sparsity,
     fit_coefficients,
@@ -61,6 +61,12 @@ _JSON_TYPES = {"float": (int, float), "int": (int,),
 # A recovered base coefficient below this fraction of the largest one makes
 # the shift-ratio logs unreliable; the run aborts with a cancellation error.
 CANCELLATION_RTOL = 1e-12
+
+# A sample residual is relative to max(|value|, RESIDUAL_FLOOR * peak): a
+# sample that cancels to zero then carries the roundoff of the peak, not an
+# error divided by nothing.  The floor is set by the data alone; a scale
+# taken from the recovered model would damp a wrong model's residual.
+RESIDUAL_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 # The known-n driver's base rank threshold, deliberately stricter than
 # ``RecoveryConfig.rank_rel_tol``: it only needs to tell structural rank
@@ -308,6 +314,13 @@ def disentangle_pile(pile_sequence, r: int):
     return sub_nodes, sub_coeffs
 
 
+def _line_sampler(oracle, origin, step):
+    """``sample(start, stop)``: the values at origin + s * step for s =
+    start .. stop - 1, drawn in one batch."""
+    return lambda start, stop: oracle.sample_many(
+        line_points(origin, step, start, stop))
+
+
 def cancellation_rescue(
     oracle: Oracle,
     direction,
@@ -315,35 +328,39 @@ def cancellation_rescue(
     k_max: int,
     max_terms: int,
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
-) -> tuple[RankDecision, SequenceStream]:
+) -> tuple[RankDecision, np.ndarray]:
     """Probe parallel shifts of the base line for terms hidden by cancellation.
 
-    Samples f(k * epsilon + s * direction) for k = 1..k_max (k = 0 degenerates
-    to the original line), re-runs the incremental rank detection per shift,
-    and returns the best decision seen with the stream it was taken on: a
-    shifted line re-weights each pile's aggregated coefficient, so a pile
-    whose coefficients summed to zero reappears.  The base rank is either
-    confirmed or revised upward.
+    Samples f(k * epsilon + s * direction) for k = 1..k_max, re-runs the
+    incremental rank detection per shift, and returns the best decision
+    seen with the values of the line it was taken on, read back from the
+    ledger: a shifted line re-weights each pile's aggregated coefficient,
+    so a pile whose coefficients summed to zero reappears.  A line that
+    shows no deficiency up to ``max_terms`` counts as the non-confident
+    rank ``max_terms``.  The base rank is either confirmed or revised
+    upward.
     """
     direction = np.asarray(direction, dtype=float)
     eps = np.asarray(epsilon, dtype=float)
-    if k_max < 0:
-        raise InputError("k_max must be >= 0")
+    if k_max < 1:
+        raise InputError("k_max must be >= 1")
     if not (np.isfinite(direction).all() and np.isfinite(eps).all()):
         raise InputError("direction and epsilon components must be finite")
-    if k_max >= 1 and not not_parallel(direction, eps):
+    if not not_parallel(direction, eps):
         raise InputError("epsilon must not be parallel to the direction")
 
     def probe(k):
-        stream = SequenceStream(oracle, k * eps, direction)
+        start = oracle.ledger.count
         try:
-            return detect_sparsity(stream.value_at, max_terms, rel_tol), stream
+            decision = detect_sparsity(
+                _line_sampler(oracle, k * eps, direction), max_terms, rel_tol
+            )
         except SparsityUndetectedError:
-            return RankDecision(max_terms, (), 0.0, False), stream
+            decision = RankDecision(max_terms, (), 0.0, False)
+        return decision, oracle.ledger.arrays(start)[1]
 
     # the shifts are probed in order; the first best decision wins
-    shifts = range(1, k_max + 1) if k_max >= 1 else [0]
-    return max(map(probe, shifts),
+    return max(map(probe, range(1, k_max + 1)),
                key=lambda probed: (probed[0].confident, probed[0].rank))
 
 
@@ -354,15 +371,16 @@ def _node_sort_order(logs) -> np.ndarray:
 
 def sample_residuals(model, points, values):
     """Model values ``exp(P @ E^T) @ c`` at the (m, d) sample ``points`` and
-    their errors relative to ``max(|value|, 1e-12 * max |v|)`` against the m
-    sampled ``values``, as ``(predicted, rel_err)`` arrays in sample order.
-    When every sample is zero the floor is 1, so the errors are absolute."""
+    their errors relative to ``max(|value|, RESIDUAL_FLOOR * max |v|)``
+    against the m sampled ``values``, as ``(predicted, rel_err)`` arrays in
+    sample order.  When every sample is zero the floor is 1, so the errors
+    are absolute."""
     points = np.asarray(points, dtype=float).reshape(-1, model.dimension)
     values = np.asarray(values, dtype=complex)
     predicted = exp_matrix(model, points) @ model.coefficients()
     magnitudes = np.abs(values)
     peak = float(np.max(magnitudes, initial=0.0))
-    floor = 1e-12 * peak if peak > 0 else 1.0
+    floor = RESIDUAL_FLOOR * peak if peak > 0 else 1.0
     return predicted, np.abs(predicted - values) / np.maximum(magnitudes, floor)
 
 
@@ -379,7 +397,8 @@ class _Run:
     budget, the rng that redraws ill-conditioned levels, and the levels,
     rank decisions and warnings its report is built from.  ``sample_many``
     charges the whole batch before it draws; ``levels`` is reported as the
-    partial."""
+    partial.  ``ledger`` is the oracle's, from which the run reads its
+    lines back."""
 
     def __init__(self, oracle: Oracle, basis: DirectionBasis,
                  config: RecoveryConfig):
@@ -390,6 +409,7 @@ class _Run:
         self.levels: list[LevelState] = []
         self.decisions: list[RankDecision] = []
         self.warnings: list[str] = []
+        self.ledger = oracle.ledger
         self.start = oracle.ledger.count
 
     def sample_many(self, points) -> np.ndarray:
@@ -529,10 +549,9 @@ def _base_stage(run: _Run):
     Returns the base coefficients and the first base sample, which they
     should sum to."""
     config, base_dir = run.config, run.basis.direction(0)
-    base = SequenceStream(run, np.zeros(run.basis.dimension), base_dir)
-    decision = detect_sparsity(
-        base.value_at, config.max_terms, config.rank_rel_tol
-    )
+    base = _line_sampler(run, np.zeros(run.basis.dimension), base_dir)
+    decision = detect_sparsity(base, config.max_terms, config.rank_rel_tol)
+    values = run.ledger.arrays(run.start)[1]
     run.decisions.append(decision)
     nu = decision.rank
     if not decision.confident:
@@ -540,10 +559,10 @@ def _base_stage(run: _Run):
             f"base rank {nu} is not confident; continuing with best guess"
         )
 
-    fit_stream = base
+    fit_values = values
     if config.rescue_k_max > 0:
         epsilon = default_rescue_epsilon(base_dir, config.seed)
-        rescued, rescue_stream = cancellation_rescue(
+        rescued, rescue_values = cancellation_rescue(
             run, base_dir, epsilon, config.rescue_k_max, config.max_terms,
             config.rank_rel_tol,
         )
@@ -553,7 +572,7 @@ def _base_stage(run: _Run):
                 f"cancellation rescue raised the term count {nu} -> "
                 f"{rescued.rank}"
             )
-            nu, fit_stream = rescued.rank, rescue_stream
+            nu, fit_values = rescued.rank, rescue_values
     if nu == 0:
         raise CancellationSuspectedError(
             "the base line shows no term (rank 0 with rescue_k_max = "
@@ -561,16 +580,17 @@ def _base_stage(run: _Run):
             "rescue_k_max to probe parallel lines"
         )
 
-    fit_stream.ensure(2 * nu)
-    logs = take_logs(fit_nodes(fit_stream.values, nu))
-    # pile coefficient sums always come from the unshifted base line
-    base.ensure(2 * nu)
-    alphas = fit_coefficients(logs, base.values)
+    logs = take_logs(fit_nodes(fit_values, nu))
+    # pile coefficient sums always come from the unshifted base line,
+    # extended to 2 nu values when the rescue raised nu past what it holds
+    if len(values) < 2 * nu:
+        values = np.concatenate([values, base(len(values), 2 * nu)])
+    alphas = fit_coefficients(logs, values)
     # the piles: row j of ``inner_products`` holds pile j's inner products
     # with the directions so far, ``coefficient_sums[j]`` its coefficient sum
     order = _node_sort_order(logs)
     run.levels.append(LevelState(logs[order][:, None], alphas[order]))
-    return alphas, base.values[0]
+    return alphas, values[0]
 
 
 def _level_system(run: _Run, i: int, inner):

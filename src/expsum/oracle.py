@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from ._schedule import (check_term_count, known_n_points, line_points,
-                        unknown_n_plan)
+from ._schedule import check_term_count, known_n_points, unknown_n_plan
 from .errors import DimensionMismatchError, InputError, MissingSampleError
 # ``evaluate`` is unused here; bench/tracer.py wraps ``oracle.evaluate`` by name
 from .model import DirectionBasis, ExponentialModel, evaluate, exp_matrix
@@ -25,8 +24,8 @@ SMALLEST_NORMAL = float(np.finfo(float).tiny)
 class SampleLedger:
     """Append-only record of oracle calls, kept as a private copy of each
     batch: an (m, d) point array and its m values.  :meth:`arrays` hands out
-    read-only copies; ``entries`` and :meth:`since` build the
-    ``(point tuple, value)`` view when read."""
+    read-only copies; ``entries`` builds the ``(point tuple, value)`` view
+    when read."""
 
     def __init__(self, dimension: int):
         self.count = 0
@@ -47,13 +46,10 @@ class SampleLedger:
         points.flags.writeable = values.flags.writeable = False
         return points, values
 
-    def since(self, start: int) -> list[tuple[tuple[float, ...], complex]]:
-        points, values = self.arrays(start)
-        return list(zip(map(tuple, points.tolist()), values.tolist()))
-
     @property
     def entries(self) -> list[tuple[tuple[float, ...], complex]]:
-        return self.since(0)
+        points, values = self.arrays()
+        return list(zip(map(tuple, points.tolist()), values.tolist()))
 
 
 class Oracle:
@@ -216,26 +212,6 @@ class TabulatedOracle(Oracle):
         values = rows[:, dimension:].copy().view(complex)[:, 0]
         oracle._insert(rows[:, :dimension], values.tolist(), path, lines)
         return oracle
-
-
-class SequenceStream:
-    """Memoized equidistant samples f(origin + s * step) drawn on demand."""
-
-    def __init__(self, oracle: Oracle, origin, step):
-        self.oracle = oracle
-        self.origin = np.asarray(origin, dtype=float)
-        self.step = np.asarray(step, dtype=float)
-        self.values: list[complex] = []
-
-    def value_at(self, s: int) -> complex:
-        self.ensure(s + 1)
-        return self.values[s]
-
-    def ensure(self, count: int) -> None:
-        """Draw every missing index below ``count`` in one batch."""
-        if count > len(self.values):
-            points = line_points(self.origin, self.step, len(self.values), count)
-            self.values.extend(self.oracle.sample_many(points).tolist())
 
 
 def plan_points(basis: DirectionBasis, n_hint: int, mode: str = "known_n",

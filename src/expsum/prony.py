@@ -71,17 +71,17 @@ def grow_ranks(
 
 
 def detect_sparsity(
-    value_at: Callable[[int], complex],
+    sample: Callable[[int, int], object],
     max_terms: int,
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
 ) -> RankDecision:
     """Detect the number of distinguishable terms in a sampled sequence.
 
     The one-row case of :func:`grow_ranks`: two new samples per step, 2 nu
-    + 1 in total to certify nu, up to ``max_terms``.  ``value_at(s)`` must
-    return F_s and is expected to memoize; each step asks for the later
-    index first, so a memoizing supplier draws both in one batch.  Rank 0
-    means the sequence shows no term.
+    + 1 in total to certify nu, up to ``max_terms``.  ``sample(start,
+    stop)`` returns F_start .. F_{stop-1}; it is called once for F_0 and
+    then once per step, for F_{2m-1} and F_{2m}.  Rank 0 means the sequence
+    shows no term.
 
     Raises :class:`SparsityUndetectedError` when no deficiency appears up
     to ``max_terms``; returns a non-confident decision if a deficiency was
@@ -89,12 +89,8 @@ def detect_sparsity(
     """
     if max_terms < 1:
         raise InputError("max_terms must be >= 1")
-
-    def draw(m):
-        last = value_at(2 * m)
-        return [[value_at(2 * m - 1), last]]
-
-    return grow_ranks([value_at(0)], draw, max_terms, rel_tol)[1][0][1]
+    return grow_ranks(sample(0, 1), lambda m: [sample(2 * m - 1, 2 * m + 1)],
+                      max_terms, rel_tol)[1][0][1]
 
 
 def fit_nodes(values, nu: int, singular_values=None) -> np.ndarray:

@@ -25,7 +25,7 @@ from expsum import (
     recover_unknown_n,
 )
 from expsum.linalg import generalized_eigenvalues
-from expsum.oracle import SequenceStream
+from expsum.multivar import _line_sampler
 from expsum.prony import detect_sparsity, fit_nodes
 from expsum.synth import cancellation_instance, collision_instance, random_basis, random_model
 
@@ -122,10 +122,10 @@ def suite5_runs():
         model = cancellation_instance(2, rng, basis, extra_terms=extra)
         true_piles = 1 + extra
         masked_oracle = SyntheticOracle(model)
-        stream = SequenceStream(
-            masked_oracle, np.zeros(2), basis.direction(0)
+        masked = detect_sparsity(
+            _line_sampler(masked_oracle, np.zeros(2), basis.direction(0)),
+            max_terms=10,
         )
-        masked = detect_sparsity(stream.value_at, max_terms=10)
         oracle = SyntheticOracle(model)
         report = recover_unknown_n(
             oracle, basis, RecoveryConfig(max_terms=10, rescue_k_max=2)

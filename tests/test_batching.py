@@ -31,7 +31,6 @@ from expsum import (
     recover_unknown_n,
 )
 from expsum.multivar import solve_shift_system
-from expsum.prony import detect_sparsity
 from expsum.synth import (
     cancellation_instance,
     collision_instance,
@@ -153,23 +152,22 @@ def test_rescue_ledger_is_frozen():
     basis = identity_basis(2)
     model = cancellation_instance(2, rng, basis, extra_terms=2)
     oracle = SyntheticOracle(model)
+    sizes = []
+    sample_many = oracle.sample_many
+    oracle.sample_many = lambda points: (sizes.append(len(points))
+                                         or sample_many(points))
     report = recover_unknown_n(
         oracle, basis, RecoveryConfig(max_terms=8, rescue_k_max=2)
     )
-    assert any("rescue" in w for w in report.warnings)
+    assert report.warnings == ("cancellation rescue raised the term count "
+                               "2 -> 3",)
     assert report.samples_used == 32
     assert ledger_digest(oracle) == RESCUE_DIGEST
-
-
-def test_detect_sparsity_asks_for_each_pair_later_index_first():
-    asked = []
-
-    def supplier(s):
-        asked.append(s)
-        return 3.0
-
-    detect_sparsity(supplier, max_terms=4)
-    assert asked == [0, 2, 1]
+    # each line is drawn as F_0 alone, then F_{2m-1} and F_{2m} per step:
+    # the base line, then both rescue lines; the raised nu = 3 takes one
+    # more batch, which extends the base line from 5 to 2 nu = 6 values
+    assert sizes == [1, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2, 1, 6, 6]
+    assert oracle.ledger.entries[5 + 2 * 7][0] == (5.0, 0.0)
 
 
 def test_known_n_cancellation_stops_after_the_base_samples():

@@ -821,7 +821,7 @@ def test_public_names_are_the_user_facing_api():
         "canonicalize", "evaluate", "nyquist_margins",
         # sample sources
         "Oracle", "SyntheticOracle", "NoisyOracle", "TabulatedOracle",
-        "SampleLedger", "SequenceStream", "plan_points",
+        "SampleLedger", "plan_points",
         # errors
         "ExpsumError", "InputError", "DimensionMismatchError",
         "InvalidBasisError", "MissingSampleError", "GenerationError",

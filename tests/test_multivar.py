@@ -12,9 +12,13 @@ from expsum import (
     CancellationSuspectedError,
     CollisionDetectedError,
     DirectionBasis,
+    ExpsumError,
     ExponentialModel,
     InputError,
+    NoisyOracle,
+    RankDecision,
     RecoveryConfig,
+    SparsityUndetectedError,
     SyntheticOracle,
     budget_bound,
     canonicalize,
@@ -24,7 +28,10 @@ from expsum import (
     recover_unknown_n,
 )
 from expsum.linalg import vandermonde
+from expsum._schedule import line_points
 from expsum.multivar import (
+    RESIDUAL_FLOOR,
+    _line_sampler,
     assemble_exponents,
     cancellation_rescue,
     default_rescue_epsilon,
@@ -32,7 +39,6 @@ from expsum.multivar import (
     sample_residuals,
     solve_shift_system,
 )
-from expsum.oracle import SequenceStream
 from expsum.prony import (
     detect_sparsity,
     fit_coefficients,
@@ -128,9 +134,7 @@ def test_solve_shift_system_reference_shift_log():
     model = reference_model()
     basis = DirectionBasis(2, ((0.01, 0.01), (-0.01, 0.01)))
     oracle = SyntheticOracle(model)
-    stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
-    stream.ensure(8)
-    seq = stream.values
+    seq = oracle.sample_many(line_points(np.zeros(2), basis.direction(0), 0, 8))
     logs = take_logs(fit_nodes(seq, 4))
     alphas = fit_coefficients(logs, seq)
     kappas = np.arange(4.0)
@@ -284,8 +288,9 @@ def test_cancellation_rescue_reveals_hidden_pile():
     basis = identity_basis(2)
     model = cancellation_instance(2, rng, basis, extra_terms=2)
     oracle = SyntheticOracle(model)
-    stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
-    masked = detect_sparsity(stream.value_at, max_terms=8)
+    masked = detect_sparsity(
+        _line_sampler(oracle, np.zeros(2), basis.direction(0)), max_terms=8
+    )
     assert masked.rank == 2  # one of three piles sums to zero
     epsilon = default_rescue_epsilon(basis.direction(0), seed=6)
     rescued, _ = cancellation_rescue(
@@ -304,19 +309,46 @@ def test_cancellation_rescue_rejects_non_finite_epsilon(epsilon):
     assert oracle.ledger.count == 0
 
 
-def test_cancellation_rescue_degenerate_k_zero_matches_original():
-    rng = np.random.default_rng(30)
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_cancellation_rescue_needs_a_shifted_line(k_max):
+    oracle = SyntheticOracle(ExponentialModel([1.0], [(0.1j, 0.2j)]))
+    with pytest.raises(InputError, match="k_max must be >= 1"):
+        cancellation_rescue(oracle, [1.0, 0.0], [0.0, 0.01], k_max=k_max,
+                            max_terms=2)
+    assert oracle.ledger.count == 0
+
+
+def exhausted_rescue_instance():
+    """A cancellation instance whose three piles outnumber max_terms = 2."""
     basis = identity_basis(2)
-    model = cancellation_instance(2, rng, basis, extra_terms=2)
+    model = cancellation_instance(2, np.random.default_rng(43), basis,
+                                  extra_terms=2)
+    return model, basis
+
+
+def test_cancellation_rescue_exhausted_probe_counts_as_full_rank():
+    # the shifted line shows three piles, more than max_terms = 2: the
+    # probe runs to the cap and reports the non-confident rank max_terms
+    # with the 2 * 2 + 1 values it drew
+    model, basis = exhausted_rescue_instance()
     oracle = SyntheticOracle(model)
-    stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
-    original = detect_sparsity(stream.value_at, max_terms=8)
-    epsilon = default_rescue_epsilon(basis.direction(0), seed=7)
-    degenerate, _ = cancellation_rescue(
-        oracle, basis.direction(0), epsilon, k_max=0,
-        max_terms=original.rank + 4,
+    direction = basis.direction(0)
+    decision, values = cancellation_rescue(
+        oracle, direction, default_rescue_epsilon(direction, 0), k_max=1,
+        max_terms=2,
     )
-    assert degenerate.rank == original.rank
+    assert decision == RankDecision(2, (), 0.0, False)
+    assert oracle.ledger.count == 5
+    assert values.tolist() == [v for _, v in oracle.ledger.entries]
+
+
+def test_unknown_n_exhausted_rescue_raises_when_the_base_line_does():
+    model, basis = exhausted_rescue_instance()
+    oracle = SyntheticOracle(model)
+    with pytest.raises(SparsityUndetectedError):
+        recover_unknown_n(oracle, basis,
+                          RecoveryConfig(max_terms=2, rescue_k_max=1))
+    assert oracle.ledger.count == 14
 
 
 def test_unknown_n_with_rescue_recovers_cancellation_instance():
@@ -347,6 +379,9 @@ def test_unknown_n_fully_cancelled_base_line_needs_the_rescue():
     assert report.detected_n == 2
     assert report.samples_used == 13
     assert model_error(report.model, model) < 1e-6
+    # the base samples are exactly zero; their residuals are roundoff
+    # relative to the floor, not to nothing
+    assert report.max_residual_rel <= 1e-7
 
 
 def test_budget_bound_values():
@@ -375,6 +410,31 @@ def test_both_drivers_recover_a_model_at_any_scale(k):
         assert model_error(report.model, model) < 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 4), k=st.integers(-300, 300),
+       terms=st.integers(1, 7), rescue_k_max=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1), known_n=st.booleans())
+@example(d=2, k=300, terms=7, rescue_k_max=2, seed=0, known_n=False)
+@example(d=4, k=-300, terms=7, rescue_k_max=0, seed=0, known_n=True)
+def test_a_pure_noise_source_gives_a_model_or_an_expsum_error(
+        d, k, terms, rescue_k_max, seed, known_n):
+    # samples with no exponential structure at scale 10**k: a driver may
+    # return a model or raise its own error, but nothing else and no warning
+    silent = SyntheticOracle(ExponentialModel([0.0], [(0.0,) * d]))
+    oracle = NoisyOracle(silent, 10.0**k, seed=seed)
+    basis = identity_basis(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if known_n:
+                recover_known_n(oracle, basis, terms)
+            else:
+                recover_unknown_n(oracle, basis, RecoveryConfig(
+                    max_terms=terms, rescue_k_max=rescue_k_max))
+        except ExpsumError:
+            pass
+
+
 def test_conservation_and_residual_reports():
     rng = np.random.default_rng(32)
     basis = random_basis(2, rng)
@@ -395,7 +455,7 @@ def test_sample_residuals_vectorised_matches_evaluate_loop():
     predicted, rel_err = sample_residuals(model, points, values)
     loop = np.array([evaluate(model, p) for p in points])
     np.testing.assert_allclose(predicted, loop, rtol=1e-12, atol=0)
-    floor = 1e-12 * np.max(np.abs(values))
+    floor = RESIDUAL_FLOOR * np.max(np.abs(values))
     np.testing.assert_allclose(
         rel_err, np.abs(loop - values) / np.maximum(np.abs(values), floor),
         rtol=1e-6,
@@ -423,9 +483,7 @@ def test_pairing_invariant_under_node_permutation():
     basis = random_basis(2, rng)
     model = random_model(2, 4, rng, basis)
     oracle = SyntheticOracle(model)
-    stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
-    stream.ensure(8)
-    seq = stream.values
+    seq = oracle.sample_many(line_points(np.zeros(2), basis.direction(0), 0, 8))
     logs = take_logs(fit_nodes(seq, 4))
     kappas = np.arange(4.0)
     shift_values = np.array(

@@ -23,8 +23,9 @@ from expsum import (
     recover_known_n,
 )
 from expsum._schedule import MAX_TERMS
+from expsum.model import exp_matrix
 from expsum.oracle import (
-    SequenceStream,
+    SMALLEST_NORMAL,
     read_points_file,
     read_samples_file,
     write_points_file,
@@ -387,7 +388,6 @@ def test_ledger_arrays_match_the_entries_view(kind):
         assert got_points.shape == want_points.shape
         assert got_points.tobytes() == want_points.tobytes()
         assert got_values.tobytes() == want_values.tobytes()
-        assert oracle.ledger.since(start) == entries[start:]
 
 
 def test_ledger_arrays_are_read_only():
@@ -485,19 +485,12 @@ def test_sample_many_rejects_subnormal_values():
     assert table.ledger.count == 2
 
 
-def test_sequence_stream_draws_missing_indices_in_one_batch():
-    oracle = SyntheticOracle(reference_model())
-    calls = []
-    sample_many = oracle.sample_many
-    oracle.sample_many = lambda points: calls.append(len(points)) or sample_many(points)
-    stream = SequenceStream(oracle, [0.1, 0.0], [0.02, 0.01])
-    stream.ensure(5)
-    stream.ensure(3)
-    assert stream.value_at(6) == oracle.ledger.entries[6][1]
-    assert calls == [5, 2]
-    points = [p for p, _ in oracle.ledger.entries]
-    assert points == [tuple(np.array([0.1, 0.0]) + s * np.array([0.02, 0.01]))
-                      for s in range(7)]
+def test_synthetic_oracle_refuses_a_subnormal_model_value():
+    # a subnormal coefficient makes the value at the origin subnormal
+    oracle = SyntheticOracle(ExponentialModel([5e-324j], [(0.0,)]))
+    with pytest.raises(InputError, match=r"point \(0\.0,\) is subnormal"):
+        oracle.sample_many(np.zeros((1, 1)))
+    assert oracle.ledger.count == 0
 
 
 def test_model_arrays_are_cached_and_read_only():
@@ -534,7 +527,17 @@ def test_sample_many_agrees_with_evaluate(data):
     points = np.array(
         [[data.draw(st.floats(-4.0, 4.0)) for _ in range(d)] for _ in range(m)]
     ).reshape(m, d)
-    values = SyntheticOracle(model).sample_many(points)
+    oracle = SyntheticOracle(model)
+    # the source's values decide the branch: a batch holding a subnormal
+    # one is refused whole, any other batch is recorded
+    magnitudes = np.abs(exp_matrix(model, points) @ model.coefficients())
+    if np.any((magnitudes > 0) & (magnitudes < SMALLEST_NORMAL)):
+        with pytest.raises(InputError, match="is subnormal"):
+            oracle.sample_many(points)
+        assert oracle.ledger.count == 0
+        return
+    values = oracle.sample_many(points)
+    assert oracle.ledger.count == m
     expected = np.array([evaluate(model, p) for p in points], dtype=complex)
     scale = np.abs(np.exp(points @ model.exponent_matrix().T)) @ np.abs(
         model.coefficients()

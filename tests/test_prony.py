@@ -19,7 +19,8 @@ from expsum.prony import (
     grow_ranks,
     take_logs,
 )
-from expsum.oracle import SequenceStream
+from expsum._schedule import line_points
+from expsum.multivar import _line_sampler
 
 from helpers import companion_nodes, reference_model, scenario_two_basis
 
@@ -31,13 +32,16 @@ def _planted_sequence(logs, coeffs, count):
 
 
 class _CountingSupplier:
-    def __init__(self, values):
-        self.values = list(values)
-        self.calls = 0
+    """A ``sample(start, stop)`` over fixed values that records the
+    batches asked for."""
 
-    def __call__(self, s):
-        self.calls = max(self.calls, s + 1)
-        return self.values[s]
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=complex)
+        self.batches = []
+
+    def __call__(self, start, stop):
+        self.batches.append((start, stop))
+        return self.values[start:stop]
 
 
 def test_detect_sparsity_constant_sequence():
@@ -45,15 +49,16 @@ def test_detect_sparsity_constant_sequence():
     decision = detect_sparsity(supplier, max_terms=4)
     assert decision.rank == 1
     assert decision.confident
-    assert supplier.calls == 3
+    # F_0 alone, then one batch per growth step
+    assert supplier.batches == [(0, 1), (1, 3)]
 
 
 def test_detect_sparsity_reference_collision_scenario_uses_seven_samples():
     oracle = SyntheticOracle(reference_model())
-    stream = SequenceStream(
-        oracle, np.zeros(2), scenario_two_basis().direction(0)
+    decision = detect_sparsity(
+        _line_sampler(oracle, np.zeros(2), scenario_two_basis().direction(0)),
+        max_terms=6,
     )
-    decision = detect_sparsity(stream.value_at, max_terms=6)
     assert decision.rank == 3
     assert oracle.ledger.count == 7
 
@@ -67,7 +72,7 @@ def test_detect_sparsity_random_four_term_model_consumes_nine_samples():
     decision = detect_sparsity(supplier, max_terms=7)
     assert decision.rank == 4
     assert decision.confident
-    assert supplier.calls == 9
+    assert supplier.batches[-1] == (7, 9)
 
 
 def test_detect_sparsity_exhaustion_raises():
@@ -146,9 +151,9 @@ def test_fit_nodes_single_term():
 
 def test_fit_nodes_reference_base_logs():
     oracle = SyntheticOracle(reference_model())
-    stream = SequenceStream(oracle, np.zeros(2), np.array([0.01, 0.01]))
-    stream.ensure(8)
-    nodes = fit_nodes(stream.values, 4)
+    values = oracle.sample_many(
+        line_points(np.zeros(2), np.array([0.01, 0.01]), 0, 8))
+    nodes = fit_nodes(values, 4)
     logs = np.sort_complex(take_logs(nodes))
     expected = np.sort_complex(
         np.array(
@@ -241,9 +246,8 @@ def test_fit_coefficients_conditioning_warning():
 
 def test_fit_coefficients_reference_alpha1():
     oracle = SyntheticOracle(reference_model())
-    stream = SequenceStream(oracle, np.zeros(2), np.array([0.01, 0.01]))
-    stream.ensure(8)
-    seq = stream.values
+    seq = oracle.sample_many(
+        line_points(np.zeros(2), np.array([0.01, 0.01]), 0, 8))
     nodes = fit_nodes(seq, 4)
     logs = take_logs(nodes)
     coeffs = fit_coefficients(logs, seq)

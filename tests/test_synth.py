@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from expsum import (GenerationError, InputError, SyntheticOracle,
                     nyquist_margins, recover_unknown_n)
-from expsum.oracle import SequenceStream
+from expsum.multivar import _line_sampler
 from expsum.prony import detect_sparsity
 from expsum.synth import (
     CONDITIONING_CAP,
@@ -96,8 +96,9 @@ def test_cancellation_instance_hides_a_pile():
     model = cancellation_instance(2, rng, basis, extra_terms=1)
     assert model.n_terms == 3
     oracle = SyntheticOracle(model)
-    stream = SequenceStream(oracle, np.zeros(2), basis.direction(0))
-    decision = detect_sparsity(stream.value_at, max_terms=6)
+    decision = detect_sparsity(
+        _line_sampler(oracle, np.zeros(2), basis.direction(0)), max_terms=6
+    )
     assert decision.rank == 1  # only the extra term is visible
 
 
