@@ -31,6 +31,7 @@ from expsum import (
     recover_unknown_n,
 )
 from expsum.multivar import solve_shift_system
+from expsum.prony import detect_sparsity
 from expsum.synth import (
     cancellation_instance,
     collision_instance,
@@ -168,6 +169,20 @@ def test_rescue_ledger_is_frozen():
     # more batch, which extends the base line from 5 to 2 nu = 6 values
     assert sizes == [1, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2, 1, 6, 6]
     assert oracle.ledger.entries[5 + 2 * 7][0] == (5.0, 0.0)
+
+
+def test_detect_sparsity_asks_for_each_pair_later_index_first():
+    # each growth step asks for F_{2m-1} and the later F_{2m} in one batch,
+    # so the later index is never fetched by a request of its own
+    nodes = np.array([0.9, -0.5 + 0.4j])
+    asked = []
+
+    def sampler(start, stop):
+        asked.append((start, stop))
+        return (nodes[None, :] ** np.arange(start, stop)[:, None]).sum(axis=1)
+
+    assert detect_sparsity(sampler, max_terms=4).rank == 2
+    assert asked == [(0, 1), (1, 3), (3, 5)]
 
 
 def test_known_n_cancellation_stops_after_the_base_samples():
