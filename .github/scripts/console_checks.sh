@@ -48,6 +48,28 @@ cancellation_rescue() {
   expsum verify cancel.json run_rescue/recovered_model.json
 }
 
+# A model with a constant term, whose exponent is zero: verify measures the
+# recovered exponent's roundoff against a floor set by the largest exponent
+# norm, so both exact recoveries match.
+constant_term() {
+  echo '{"dimension": 2, "terms": [{"coeff": [1, 0], "exponent": [[0, 0], [0, 0]]}, {"coeff": [2, -1], "exponent": [[-0.1, 1.1], [0, -0.5]]}]}' > constant.json
+  expsum recover --model constant.json --known-n 2 --out run_constant
+  expsum verify constant.json run_constant/recovered_model.json
+  expsum recover --model constant.json --out run_constant_u
+  expsum verify constant.json run_constant_u/recovered_model.json
+}
+
+# A model whose coefficients sum to zero, so f(0) = 0: the coefficient-sum
+# error is measured against the residual floor of the samples, not against 0.
+zero_sum() {
+  echo '{"dimension": 2, "terms": [{"coeff": [1, 0], "exponent": [[0, 0.1], [0, 0.2]]}, {"coeff": [-1, 0], "exponent": [[-0.1, 1.1], [0, -0.5]]}]}' > zero_sum.json
+  for known_n in "--known-n 2" ""; do
+    # shellcheck disable=SC2086
+    expsum recover --model zero_sum.json $known_n --out run_zero_sum
+    python -c "import json, pathlib; r = json.loads(pathlib.Path('run_zero_sum/report.json').read_text()); assert r['residuals'][0]['value'] == [0.0, 0.0] and r['conservation_rel_err'] <= 1e-7, r['conservation_rel_err']"
+  done
+}
+
 # A term count above _schedule.MAX_TERMS (128) is refused before any point
 # array is built; the address-space limit, which ends with this subshell,
 # makes a regression fail fast instead of filling the machine's memory.
@@ -68,12 +90,16 @@ pinned_basis() {
   test ! -e run_pinned
 }
 
-# Warnings are errors on the first two checks, so a numpy warning on any of
+# Warnings are errors on the first four checks, so a numpy warning on any of
 # their commands' paths fails them.
 echo "== generate-recover-verify round trip"
 PYTHONWARNINGS=error round_trip
 echo "== cancellation rescue round trip"
 PYTHONWARNINGS=error cancellation_rescue
+echo "== a constant term round trip"
+PYTHONWARNINGS=error constant_term
+echo "== a zero-sum model conserves its coefficient sum"
+PYTHONWARNINGS=error zero_sum
 echo "== a term count above the bound exits 2"
 term_bound
 echo "== a basis naming multipliers exits 2"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .model import (
     nyquist_margins,
 )
 from .multivar import (RecoveryConfig, recover_known_n, recover_unknown_n,
-                       sample_residuals)
+                       residual_floor)
 from .oracle import (
     SyntheticOracle,
     TabulatedOracle,
@@ -102,32 +102,29 @@ class RunConfig:
         _json.write(path, self.to_dict())
 
 
-def _read_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return RunConfig.load(args.config)
-    return RunConfig()
-
-
-def _apply_overrides(config: RunConfig, args, dimension: int | None = None) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config.recovery = RecoveryConfig(
-            **{**config.recovery.to_dict(), "seed": args.seed}
-        )
-    if getattr(args, "known_n", None) is not None:
-        config.mode = "known_n"
-        config.n = args.known_n
-    if config.basis is None and dimension is not None:
-        config.basis = identity_basis(dimension)
+def _resolve_config(args) -> RunConfig:
+    """The run config of ``--config`` (or the defaults) with every flag
+    given put over it; ``--model`` or ``--samples`` replaces the config's
+    source.  ``--known-n`` with ``--n-hint`` is an :class:`InputError`."""
+    flags = vars(args)
+    config = RunConfig.load(args.config) if flags.get("config") else RunConfig()
+    if flags.get("seed") is not None:
+        config.recovery = replace(config.recovery, seed=args.seed)
+    if flags.get("known_n") is not None and flags.get("n_hint") is not None:
+        raise InputError("give --known-n or --n-hint, not both")
+    if flags.get("known_n") is not None:
+        config.mode, config.n = "known_n", args.known_n
+    if flags.get("n_hint") is not None:
+        config.n = args.n_hint
+    if flags.get("model") or flags.get("samples"):
+        config.io = {k: v for k, v in config.io.items() if k == "out"}
+    config.io.update({key: str(flags[key]) for key in ("model", "samples", "out")
+                      if flags.get(key)})
     return config
 
 
-def _load_config(args, dimension: int | None = None) -> RunConfig:
-    return _apply_overrides(_read_config(args), args, dimension)
-
-
 def cmd_generate(args) -> int:
-    config = _load_config(args, dimension=args.dimension)
-    basis = config.basis
+    basis = _resolve_config(args).basis or identity_basis(args.dimension)
     if basis.dimension != args.dimension:
         raise InputError(
             f"config basis dimension {basis.dimension} != requested "
@@ -157,14 +154,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = _load_config(args)
+    config = _resolve_config(args)
     if config.basis is None:
         raise InputError("plan requires a config file with a basis")
-    n_hint = config.n if config.n is not None else args.n_hint
-    if n_hint is None:
-        raise InputError("plan needs --known-n, config n, or --n-hint")
+    if config.n is None:
+        raise InputError("plan needs --known-n, --n-hint or n in the config")
     mode = "known_n" if config.mode == "known_n" else "unknown_n_worst_case"
-    points = plan_points(config.basis, n_hint, mode,
+    points = plan_points(config.basis, config.n, mode,
                          config.recovery.rescue_k_max, config.recovery.seed)
     write_points_file(args.out, config.basis.dimension, points)
     _json.emit(
@@ -174,45 +170,33 @@ def cmd_plan(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    config = _read_config(args)
-    model_path = args.model or config.io.get("model")
-    samples_path = args.samples or config.io.get("samples")
-    out_path = args.out or config.io.get("out")
+    config = _resolve_config(args)
+    model_path, samples_path = config.io.get("model"), config.io.get("samples")
     if bool(model_path) == bool(samples_path):
         raise InputError("recover needs exactly one of --model or --samples")
-    if out_path is None:
+    if "out" not in config.io:
         raise InputError("recover needs --out (or io.out in the config)")
     if model_path:
-        truth = ExponentialModel.load(model_path)
-        oracle = SyntheticOracle(truth)
+        oracle = SyntheticOracle(ExponentialModel.load(model_path))
     else:
         oracle = TabulatedOracle.from_file(samples_path)
-    config = _apply_overrides(config, args, dimension=oracle.dimension)
-    if config.basis.dimension != oracle.dimension:
+    basis = config.basis or identity_basis(oracle.dimension)
+    if basis.dimension != oracle.dimension:
         raise InputError(
-            f"basis dimension {config.basis.dimension} != source dimension "
+            f"basis dimension {basis.dimension} != source dimension "
             f"{oracle.dimension}"
         )
     if config.mode == "known_n":
         if config.n is None:
             raise InputError("known_n mode requires n (--known-n)")
-        report = recover_known_n(oracle, config.basis, config.n)
+        report = recover_known_n(oracle, basis, config.n)
     else:
-        report = recover_unknown_n(oracle, config.basis, config.recovery)
+        report = recover_unknown_n(oracle, basis, config.recovery)
 
-    out = Path(out_path)
+    out = Path(config.io["out"])
     out.mkdir(parents=True, exist_ok=True)
     report.model.save(out / "recovered_model.json")
-    doc = report.to_dict()
-    points, values = oracle.ledger.arrays()
-    predicted, rel_err = sample_residuals(report.model, points, values)
-    pairs = lambda z: z.view(float).reshape(-1, 2).tolist()  # [re, im], same doubles
-    doc["residuals"] = [
-        {"point": point, "value": value, "model_value": p, "rel_err": r}
-        for point, value, p, r in zip(points.tolist(), pairs(values),
-                                      pairs(predicted), rel_err.tolist())
-    ]
-    _json.write(out / "report.json", doc, indent=False)
+    _json.write(out / "report.json", report.to_dict(), indent=False)
     _json.emit(
         {
             "written": str(out),
@@ -230,12 +214,8 @@ def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
     """Match terms by nearest exponent vector and report worst errors."""
     a = canonicalize(model_a)
     b = canonicalize(model_b)
-    result = {
-        "dimension": a.dimension,
-        "terms_a": a.n_terms,
-        "terms_b": b.n_terms,
-        "tol": tol,
-    }
+    result = {"dimension": a.dimension, "terms_a": a.n_terms,
+              "terms_b": b.n_terms, "tol": tol}
     if a.dimension != b.dimension:
         raise InputError("models have different dimensions")
     if a.n_terms != b.n_terms:
@@ -247,14 +227,15 @@ def verify_models(model_a: ExponentialModel, model_b: ExponentialModel,
         cost = np.linalg.norm(ea[:, None, :] - eb[None, :, :], axis=2)
     cols = min_cost_matching(cost)
     ca, cb = a.coefficients(), b.coefficients()
-    exp_err = 0.0
-    coeff_err = 0.0
+    norms = [float(np.linalg.norm(row)) for row in ea]
+    exp_floor = residual_floor(max(norms))
+    coeff_floor = residual_floor(float(np.max(np.abs(ca))))
+    exp_err = coeff_err = 0.0
     for r, c in enumerate(cols):
-        scale = max(float(np.linalg.norm(ea[r])), 1e-12)
-        exp_err = max(exp_err, float(cost[r, c]) / scale)
+        exp_err = max(exp_err, float(cost[r, c]) / max(norms[r], exp_floor))
         with np.errstate(over="ignore"):
             coeff_err = max(
-                coeff_err, abs(ca[r] - cb[c]) / max(abs(ca[r]), 1e-12)
+                coeff_err, abs(ca[r] - cb[c]) / max(abs(ca[r]), coeff_floor)
             )
     if not np.isfinite(coeff_err):
         raise InputError("coefficient differences overflow; cannot compare")

@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .model import DirectionBasis, ExponentialModel
-from .multivar import RecoveryConfig, recover_known_n, recover_unknown_n
+from .multivar import (RecoveryConfig, recover_known_n, recover_unknown_n,
+                       residual_floor)
 from .oracle import SyntheticOracle
 
 DEMO_TOL = 5e-4
@@ -88,7 +89,7 @@ _S2_N = 4
 
 
 def _rel_err(got: complex, want: complex) -> float:
-    return abs(got - want) / max(abs(want), 1e-12)
+    return abs(got - want) / max(abs(want), residual_floor(abs(want)))
 
 
 def _fmt(z: complex) -> str:

@@ -78,6 +78,15 @@ def vandermonde(logs, powers) -> np.ndarray:
     return np.exp(np.outer(pw, lg))
 
 
+def node_gaps(nodes) -> np.ndarray:
+    """The matrix of distances |nodes[j] - nodes[k]| with an infinite
+    diagonal: its minimum is the closest pair's gap, infinite for one node."""
+    nodes = np.asarray(nodes)
+    gaps = np.abs(nodes[:, None] - nodes)
+    gaps.flat[:: len(nodes) + 1] = np.inf
+    return gaps
+
+
 def singular_values(a) -> np.ndarray:
     """Descending singular values of a matrix, or of each in a stack.
 

@@ -100,13 +100,11 @@ class ExponentialModel:
                      *self._exponents.ravel().tolist()))
 
     def to_dict(self) -> dict:
-        coeffs = self._coefficients.view(float).reshape(-1, 2).tolist()
-        exponents = self._exponents.view(float).reshape(
-            self.n_terms, -1, 2).tolist()
         return {
             "dimension": self.dimension,
-            "terms": [{"coeff": c, "exponent": e}
-                      for c, e in zip(coeffs, exponents)],
+            "terms": [{"coeff": c, "exponent": e} for c, e in zip(
+                re_im(self._coefficients).tolist(),
+                re_im(self._exponents).tolist())],
         }
 
     @classmethod
@@ -135,6 +133,20 @@ class ExponentialModel:
     @classmethod
     def load(cls, path) -> "ExponentialModel":
         return cls.from_dict(_json.read(path))
+
+
+def re_im(z) -> np.ndarray:
+    """Complex ``z`` with each entry as its [re, im] pair on a new last axis:
+    the JSON encoding of a complex number, the same doubles."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(*z.shape, 2)
+
+
+def row_order(rows) -> np.ndarray:
+    """The stable order of the complex ``rows`` (entries of a vector, or
+    rows of a matrix) by their lexicographic (Re, Im, Re, Im, ...) keys."""
+    pairs = re_im(rows)
+    return np.lexsort(pairs.reshape(len(pairs), -1).T[::-1])
 
 
 def evaluate(model: ExponentialModel, point) -> complex:
@@ -186,7 +198,7 @@ def canonicalize(model: ExponentialModel, tol: float = 0.0) -> ExponentialModel:
     if tol < 0:
         raise InputError("tol must be >= 0")
     exponents = model.exponent_matrix()
-    order = np.lexsort(exponents.view(float).T[::-1])
+    order = row_order(exponents)
     exponents, coefficients = exponents[order], model.coefficients()[order]
     rows = np.arange(len(order))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -43,6 +43,8 @@ from .model import (
     canonicalize,
     evaluate,
     exp_matrix,
+    re_im,
+    row_order,
 )
 from .oracle import Oracle
 from .prony import (
@@ -62,10 +64,7 @@ _JSON_TYPES = {"float": (int, float), "int": (int,),
 # the shift-ratio logs unreliable; the run aborts with a cancellation error.
 CANCELLATION_RTOL = 1e-12
 
-# A sample residual is relative to max(|value|, RESIDUAL_FLOOR * peak): a
-# sample that cancels to zero then carries the roundoff of the peak, not an
-# error divided by nothing.  The floor is set by the data alone; a scale
-# taken from the recovered model would damp a wrong model's residual.
+# The relative floor of every relative error (see residual_floor).
 RESIDUAL_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 # The known-n driver's base rank threshold, deliberately stricter than
@@ -164,9 +163,11 @@ class LevelState:
         return self.inner_products.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryReport:
-    """Recovered model plus accounting and diagnostics."""
+    """Recovered model plus accounting and diagnostics.  ``points``,
+    ``values``, ``model_values`` and ``rel_err`` are the read-only arrays of
+    the run's residual pass (:func:`sample_residuals`), in sample order."""
 
     model: ExponentialModel
     samples_used: int
@@ -176,8 +177,13 @@ class RecoveryReport:
     detected_n: int
     conservation_rel_err: float
     max_residual_rel: float
+    points: np.ndarray
+    values: np.ndarray
+    model_values: np.ndarray
+    rel_err: np.ndarray
 
     def to_dict(self) -> dict:
+        """The ``report.json`` document, one ``residuals`` row per sample."""
         return {
             "detected_n": self.detected_n,
             "samples_used": self.samples_used,
@@ -192,8 +198,8 @@ class RecoveryReport:
                     "piles": [
                         {"inner_products": row, "coefficient_sum": total}
                         for row, total in zip(
-                            _re_im(lv.inner_products).tolist(),
-                            _re_im(lv.coefficient_sums).tolist(),
+                            re_im(lv.inner_products).tolist(),
+                            re_im(lv.coefficient_sums).tolist(),
                         )
                     ],
                 }
@@ -208,12 +214,13 @@ class RecoveryReport:
                 for rd in self.rank_confidences
             ],
             "model": self.model.to_dict(),
+            "residuals": [
+                {"point": p, "value": v, "model_value": m, "rel_err": e}
+                for p, v, m, e in zip(
+                    self.points.tolist(), re_im(self.values).tolist(),
+                    re_im(self.model_values).tolist(), self.rel_err.tolist())
+            ],
         }
-
-
-def _re_im(z: np.ndarray) -> np.ndarray:
-    """``z`` with each complex entry as its (Re, Im) pair on a new last axis."""
-    return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2)
 
 
 def _shift_matrices(logs, multipliers) -> np.ndarray:
@@ -364,23 +371,24 @@ def cancellation_rescue(
                key=lambda probed: (probed[0].confident, probed[0].rank))
 
 
-def _node_sort_order(logs) -> np.ndarray:
-    nodes = np.exp(np.asarray(logs, dtype=complex))
-    return np.lexsort((nodes.imag, nodes.real))
+def residual_floor(peak: float) -> float:
+    """The least divisor of a relative error whose references peak at
+    ``peak``: RESIDUAL_FLOOR * peak, or 1 when it is 0.  A reference that
+    cancels to zero carries the peak's roundoff; the peak comes from the
+    reference data, as a recovered model's scale would damp its own error."""
+    return RESIDUAL_FLOOR * peak if peak > 0 else 1.0
 
 
 def sample_residuals(model, points, values):
     """Model values ``exp(P @ E^T) @ c`` at the (m, d) sample ``points`` and
-    their errors relative to ``max(|value|, RESIDUAL_FLOOR * max |v|)``
+    their errors relative to ``max(|value|, residual_floor(max |v|))``
     against the m sampled ``values``, as ``(predicted, rel_err)`` arrays in
-    sample order.  When every sample is zero the floor is 1, so the errors
-    are absolute."""
+    sample order."""
     points = np.asarray(points, dtype=float).reshape(-1, model.dimension)
     values = np.asarray(values, dtype=complex)
     predicted = exp_matrix(model, points) @ model.coefficients()
     magnitudes = np.abs(values)
-    peak = float(np.max(magnitudes, initial=0.0))
-    floor = RESIDUAL_FLOOR * peak if peak > 0 else 1.0
+    floor = residual_floor(float(np.max(magnitudes, initial=0.0)))
     return predicted, np.abs(predicted - values) / np.maximum(magnitudes, floor)
 
 
@@ -436,7 +444,9 @@ def _model(exponents, coefficients) -> ExponentialModel:
 def _report(model, points, values, levels, decisions, warnings, alphas, f0):
     """The report of a run that drew the samples ``values`` at ``points``;
     the base coefficients ``alphas`` should sum to the first sample ``f0``."""
-    residuals = sample_residuals(model, points, values)[1]
+    predicted, rel_err = sample_residuals(model, points, values)
+    predicted.flags.writeable = rel_err.flags.writeable = False
+    peak = float(np.max(np.abs(values), initial=0.0))
     return RecoveryReport(
         model=model,
         samples_used=len(values),
@@ -445,9 +455,13 @@ def _report(model, points, values, levels, decisions, warnings, alphas, f0):
         warnings=tuple(warnings),
         detected_n=model.n_terms,
         conservation_rel_err=float(
-            abs(np.sum(alphas) - f0) / max(abs(f0), 1e-300)
+            abs(np.sum(alphas) - f0) / max(abs(f0), residual_floor(peak))
         ),
-        max_residual_rel=float(residuals.max(initial=0.0)),
+        max_residual_rel=float(rel_err.max(initial=0.0)),
+        points=points,
+        values=values,
+        model_values=predicted,
+        rel_err=rel_err,
     )
 
 
@@ -484,17 +498,12 @@ def recover_known_n(oracle: Oracle, basis: DirectionBasis,
             f"node fit failed at rank {n} ({exc}); use recover_unknown_n",
             nu=decision.rank,
         ) from exc
-    if n > 1:
-        scale = float(np.max(np.abs(nodes)))
-        gaps = np.abs(nodes[:, None] - nodes[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() <= NODE_TOL * scale:
-            raise CollisionDetectedError(
-                "two base nodes nearly coincide; use recover_unknown_n",
-                nu=n - 1,
-            )
+    if linalg.node_gaps(nodes).min() <= NODE_TOL * np.max(np.abs(nodes)):
+        raise CollisionDetectedError(
+            "two base nodes nearly coincide; use recover_unknown_n", nu=n - 1
+        )
     logs = take_logs(nodes)
-    logs = logs[_node_sort_order(logs)]
+    logs = logs[row_order(np.exp(logs))]
     alphas = fit_coefficients(logs, values)
     magnitudes = np.abs(alphas)
     if d > 1 and np.any(magnitudes < CANCELLATION_RTOL * magnitudes.max()):
@@ -588,7 +597,7 @@ def _base_stage(run: _Run):
     alphas = fit_coefficients(logs, values)
     # the piles: row j of ``inner_products`` holds pile j's inner products
     # with the directions so far, ``coefficient_sums[j]`` its coefficient sum
-    order = _node_sort_order(logs)
+    order = row_order(np.exp(logs))
     run.levels.append(LevelState(logs[order][:, None], alphas[order]))
     return alphas, values[0]
 
@@ -677,7 +686,7 @@ def _split_piles(run: _Run, inner, sequences, ranks) -> None:
     inner = np.column_stack(
         [np.repeat(inner, ranks, axis=0), np.concatenate(new_logs)]
     )
-    order = np.lexsort(_re_im(inner).reshape(len(inner), -1).T[::-1])
+    order = row_order(inner)
     run.levels.append(LevelState(
         inner[order], np.concatenate(new_sums)[order], tuple(ranks)
     ))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenerationError, InputError
+from .linalg import node_gaps
 from .model import DirectionBasis, ExponentialModel, canonicalize
 
 COEFF_MODULUS_RANGE = (0.1, 10.0)
@@ -107,12 +108,8 @@ def random_model(
         imag = rng.uniform(-bound, bound, size=(n, dimension))
         coeffs = random_coefficients(n, rng)
         base = real[:, 0] + 1j * imag[:, 0]
-        if n > 1:
-            nodes = np.exp(base)
-            gaps = np.abs(nodes[:, None] - nodes[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() < min_node_separation:
-                continue
+        if node_gaps(np.exp(base)).min() < min_node_separation:
+            continue
         values = np.exp(steps * base) @ coeffs
         if np.linalg.cond(values[window]) > CONDITIONING_CAP:
             continue
@@ -176,12 +173,8 @@ def collision_instance(
         for _ in range(MAX_TRIES):
             vals = rng.uniform(-REAL_RANGE, REAL_RANGE, count) \
                 + 1j * rng.uniform(-bound, bound, count)
-            nodes = np.exp(vals)
-            if count == 1:
-                return vals
-            gaps = np.abs(nodes[:, None] - nodes[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() >= PLANTED_MIN_SEPARATION:
+            if count == 1 or (node_gaps(np.exp(vals)).min()
+                              >= PLANTED_MIN_SEPARATION):
                 return vals
         raise GenerationError("could not draw separated inner products")
 
@@ -267,17 +260,11 @@ def cancellation_instance(
         # force the two-pile coefficients to cancel: alpha_2 = -alpha_1
         inner = model.exponent_matrix() @ basis.matrix().T
         coeffs = model.coefficients().copy()
-        pile_members = []
-        for j in range(model.n_terms):
-            for k in range(j + 1, model.n_terms):
-                if abs(np.exp(inner[j, 0]) - np.exp(inner[k, 0])) < 1e-9:
-                    pile_members = [j, k]
-                    break
-            if pile_members:
-                break
-        if not pile_members:
+        # the gaps are symmetric, so the first pair in row order has j < k
+        pairs = np.argwhere(node_gaps(np.exp(inner[:, 0])) < 1e-9)
+        if not len(pairs):
             raise GenerationError("planted pile lost during canonicalization")
-        j, k = pile_members
+        j, k = pairs[0]
         coeffs[k] = -coeffs[j]
         hidden_cond = _aggregated_sequence_condition(
             inner[[j, k], 1], coeffs[[j, k]]

@@ -444,6 +444,23 @@ def test_conservation_and_residual_reports():
     assert report.max_residual_rel < 1e-6
 
 
+@pytest.mark.parametrize("driver", ["known-n", "unknown-n"])
+def test_conservation_of_a_zero_sum_model_is_measured_against_the_floor(
+        driver):
+    # the coefficients sum to zero, so f(0) = 0: the coefficient sum's
+    # roundoff is divided by the residual floor of the samples, not by 0
+    model = ExponentialModel([1.0, -1.0],
+                             [(0.1j, 0.2j), (-0.1 + 1.1j, -0.5j)])
+    oracle = SyntheticOracle(model)
+    if driver == "known-n":
+        report = recover_known_n(oracle, identity_basis(2), 2)
+    else:
+        report = recover_unknown_n(oracle, identity_basis(2))
+    assert oracle.ledger.arrays()[1][0] == 0
+    assert report.detected_n == 2
+    assert report.conservation_rel_err <= 1e-7
+
+
 def test_sample_residuals_vectorised_matches_evaluate_loop():
     rng = np.random.default_rng(34)
     basis = random_basis(3, rng)
